@@ -2,24 +2,26 @@
 """Core-simulator throughput benchmark (sim-cycles per second).
 
 Times every selected ``(suite, bench, core, mode)`` job **per engine**
-(schema 2) and two ways per engine:
+and two ways per engine:
 
 * **cold** — trace generation plus simulation, the cost of a
-  first-ever run of a job (what a forced campaign pays per miss).  The
-  compiled engine generates its trace through the codegen'd per-block
-  step functions (:mod:`repro.pipeline.codegen`); program lowering
-  itself is compiled once per process and amortised, exactly like the
-  trace memo on the warm path;
+  first-ever run of a job (what a forced campaign pays per miss).
+  Every engine generates its trace with
+  :func:`~repro.pipeline.trace.generate_trace`, the generator campaign
+  and serve use, so cold rows differ only by the engine;
 * **warm** — simulation alone against a pre-generated trace, the
   steady-state cost once the per-process trace memo is hot.
 
-Each measurement is the **minimum of N repeats** (default 3, the
+Each row's measurement is the **minimum of N repeats** (default 3, the
 standard ``timeit`` practice): wall-clock on shared runners jitters by
 10-20%, and the minimum is the best estimator of the true cost because
-noise is strictly additive.  A throwaway warm-up run precedes timing so
-allocator and bytecode-cache effects land outside the window.
+noise is strictly additive.  Each engine's aggregate sums the rows'
+minima and also reports the **median and interquartile range** of the
+per-repeat totals (``<metric>_median`` / ``<metric>_iqr``), so a
+committed number carries its spread.  A throwaway warm-up run precedes
+timing so allocator and bytecode-cache effects land outside the window.
 
-Results go to ``BENCH_core.json`` with one row per
+Results go to ``BENCH_core.json`` (schema 3) with one row per
 ``(job, engine)`` and one aggregate per engine.  ``--check`` gates
 against a committed reference (``benchmarks/core_reference.json``):
 
@@ -40,7 +42,7 @@ Gate failures name the offending engine and bench row.
 
 ::
 
-    python benchmarks/bench_core.py --smoke --check --engines fast
+    python benchmarks/bench_core.py --smoke --check --engines compiled
     python benchmarks/bench_core.py --smoke --update-reference
 """
 
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -60,7 +63,6 @@ from repro.campaign.jobs import (enumerate_jobs, job_config,  # noqa: E402
                                  smoke_jobs)
 from repro.core import ENGINES  # noqa: E402
 from repro.core.cpu import simulate  # noqa: E402
-from repro.pipeline.codegen import generate_trace_compiled  # noqa: E402
 from repro.pipeline.trace import generate_trace  # noqa: E402
 from repro.workloads.suites import SUITES, default_scale  # noqa: E402
 
@@ -68,7 +70,7 @@ DEFAULT_REFERENCE = Path(__file__).parent / "core_reference.json"
 DEFAULT_OUTPUT = Path("BENCH_core.json")
 DEFAULT_REPEATS = 3
 DEFAULT_TOLERANCE = 0.10
-SCHEMA = 2
+SCHEMA = 3
 
 #: iteration count of the machine-speed calibration probe; sized so one
 #: pass takes ~25 ms on a 2020s-era core — cheap enough to run before
@@ -103,76 +105,70 @@ def _build_program(job):
     return builder(**kwargs)
 
 
-def _generator_for(engine: str):
-    """The trace generator a cold run of *engine* pays for.
-
-    The lowered backends both ride the codegen trace generator — it
-    produces entry-identical traces (fuzzed nightly) several times
-    faster, and its per-program code cache is exactly the state a
-    warm service process holds.
-    """
-    if engine in ("compiled", "vector"):
-        return generate_trace_compiled
-    return generate_trace
-
-
 def _time_job(job, repeats: int, engine: str):
-    """Min-of-N cold and warm timings for one job on one engine."""
+    """Timings for one job on one engine.
+
+    Returns ``(row, samples)``: the row holds min-of-N cold and warm
+    costs; *samples* maps ``cold_s`` / ``warm_s`` / ``cold_quanta`` /
+    ``warm_quanta`` to the per-repeat values, which the aggregate sums
+    repeat by repeat for its median and spread.
+    """
     program = _build_program(job)
     config = replace(job_config(job), engine=engine)
-    gen = _generator_for(engine)
 
     # warm-up: one untimed full pass (also yields the reusable trace
-    # and, for the compiled engine, the per-program lowering)
-    trace = gen(program)
+    # and, for the compiled engine, its memoized columns)
+    trace = generate_trace(program)
     result = simulate(trace, config)
     cycles = result.cycles
 
-    best_gen = best_sim = best_warm = None
-    best_cold_q = best_warm_q = None
+    gens = []
+    samples = {"cold_s": [], "warm_s": [], "cold_quanta": [],
+               "warm_quanta": []}
     for _ in range(repeats):
         probe = _calibrate()
-
         start = time.perf_counter()
-        cold_trace = gen(program)
+        cold_trace = generate_trace(program)
         mid = time.perf_counter()
         simulate(cold_trace, config)
         end = time.perf_counter()
-        gen_s, sim_s = mid - start, end - mid
-        if best_gen is None or gen_s < best_gen:
-            best_gen = gen_s
-        if best_sim is None or sim_s < best_sim:
-            best_sim = sim_s
-        cold_q = (gen_s + sim_s) / probe
-        if best_cold_q is None or cold_q < best_cold_q:
-            best_cold_q = cold_q
+        gens.append(mid - start)
+        samples["cold_s"].append(end - start)
+        samples["cold_quanta"].append((end - start) / probe)
 
         probe = _calibrate()
         start = time.perf_counter()
         simulate(trace, config)
         warm_s = time.perf_counter() - start
-        if best_warm is None or warm_s < best_warm:
-            best_warm = warm_s
-        warm_q = warm_s / probe
-        if best_warm_q is None or warm_q < best_warm_q:
-            best_warm_q = warm_q
+        samples["warm_s"].append(warm_s)
+        samples["warm_quanta"].append(warm_s / probe)
 
-    cold_s = best_gen + best_sim
-    return {
+    cold_s = min(samples["cold_s"])
+    warm_s = min(samples["warm_s"])
+    row = {
         "suite": job.suite, "bench": job.bench,
         "core": job.core, "mode": job.mode,
         "engine": engine,
         "cycles": cycles,
-        "trace_gen_s": round(best_gen, 6),
+        "trace_gen_s": round(min(gens), 6),
         "cold_s": round(cold_s, 6),
-        "warm_s": round(best_warm, 6),
+        "warm_s": round(warm_s, 6),
         "cold_cyc_per_s": round(cycles / cold_s, 1),
-        "warm_cyc_per_s": round(cycles / best_warm, 1),
+        "warm_cyc_per_s": round(cycles / warm_s, 1),
         # machine-normalised cost (wall time in calibration quanta);
         # the regression gate compares these, not raw seconds
-        "cold_quanta": round(best_cold_q, 3),
-        "warm_quanta": round(best_warm_q, 3),
+        "cold_quanta": round(min(samples["cold_quanta"]), 3),
+        "warm_quanta": round(min(samples["warm_quanta"]), 3),
     }
+    return row, samples
+
+
+def _spread(values):
+    """(median, interquartile range) of per-repeat aggregate totals."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q3 - q1
 
 
 def run_bench(jobs, repeats: int, engines, *, quiet: bool = False) -> dict:
@@ -184,21 +180,26 @@ def run_bench(jobs, repeats: int, engines, *, quiet: bool = False) -> dict:
         total_cycles = 0
         total_cold = total_warm = 0.0
         total_cold_q = total_warm_q = 0.0
+        per_repeat = {}
         for job in jobs:
-            row = _time_job(job, repeats, engine)
+            row, samples = _time_job(job, repeats, engine)
             rows.append(row)
             total_cycles += row["cycles"]
             total_cold += row["cold_s"]
             total_warm += row["warm_s"]
             total_cold_q += row["cold_quanta"]
             total_warm_q += row["warm_quanta"]
+            for metric, values in samples.items():
+                sums = per_repeat.setdefault(metric, [0.0] * repeats)
+                for i, value in enumerate(values):
+                    sums[i] += value
             if not quiet:
                 print(f"  [{engine:>9s}] {job.label:35s} "
                       f"cold {row['cold_s']:6.3f}s "
                       f"({row['cold_cyc_per_s']:>9,.0f} cyc/s)  "
                       f"warm {row['warm_s']:6.3f}s "
                       f"({row['warm_cyc_per_s']:>9,.0f} cyc/s)")
-        aggregates[engine] = {
+        agg = aggregates[engine] = {
             "cycles": total_cycles,
             "cold_s": round(total_cold, 3),
             "warm_s": round(total_warm, 3),
@@ -207,12 +208,18 @@ def run_bench(jobs, repeats: int, engines, *, quiet: bool = False) -> dict:
             "cold_quanta": round(total_cold_q, 3),
             "warm_quanta": round(total_warm_q, 3),
         }
+        for metric, totals in per_repeat.items():
+            median, iqr = _spread(totals)
+            agg[f"{metric}_median"] = round(median, 3)
+            agg[f"{metric}_iqr"] = round(iqr, 3)
         if not quiet:
-            agg = aggregates[engine]
             print(f"aggregate [{engine}]: "
                   f"cold {agg['cold_cyc_per_s']:,.0f} cyc/s, "
                   f"warm {agg['warm_cyc_per_s']:,.0f} cyc/s "
-                  f"({total_cycles} cycles, {len(jobs)} jobs)")
+                  f"({total_cycles} cycles, {len(jobs)} jobs); "
+                  f"warm quanta min {agg['warm_quanta']:,.1f} "
+                  f"median {agg['warm_quanta_median']:,.1f} "
+                  f"IQR {agg['warm_quanta_iqr']:,.1f}")
     return {
         "schema": SCHEMA,
         "repeats": repeats,
@@ -233,7 +240,7 @@ def _row_label(row):
 
 def check_against_reference(payload: dict, reference: dict,
                             tolerance: float):
-    """Return drift failures of *payload* vs *reference* (schema 2).
+    """Return drift failures of *payload* vs *reference* (schema 2+).
 
     Costs are compared per engine in calibration quanta (wall time
     divided by the adjacent probe's time), which cancels the host's raw

@@ -35,7 +35,6 @@ LOG = logging.getLogger(__name__)
 from repro.analysis.stats import OpDistribution, SimStats
 from repro.core.config import CoreConfig
 from repro.core.cpu import SimResult, simulate
-from repro.core.lower import lowering_digest
 from repro.pipeline.trace import Trace
 
 #: bump to force a cold cache even when no source file changed
@@ -143,17 +142,17 @@ def result_key_from_fingerprint(fingerprint: str, config: CoreConfig, *,
                                 salt: Optional[str] = None) -> str:
     """Cache key from a pre-computed trace fingerprint.
 
-    The engine identifier and the compiled-lowering source digest are
-    folded in *explicitly* (they are also part of the config and model
-    fingerprints): switching ``engine=`` or editing the lowering /
-    compiled backend must never serve a stale cached result, and this
-    line is the one the invalidation test pins.
+    The engine identifier is folded in *explicitly* (it is also part of
+    the config fingerprint): switching ``engine=`` must never serve a
+    stale cached result, and this line is the one the invalidation test
+    pins.  Engine *source* changes are covered by :func:`model_version`,
+    which hashes every file under ``core/`` and ``pipeline/``.
     """
     sha = hashlib.sha256()
     sha.update(model_version(salt).encode())
     sha.update(fingerprint.encode())
     sha.update(config_fingerprint(config).encode())
-    sha.update(f"engine:{config.engine}:{lowering_digest()}".encode())
+    sha.update(f"engine:{config.engine}".encode())
     return sha.hexdigest()[:32]
 
 

@@ -61,9 +61,10 @@ class JobRecord:
     wall_time_s: float
     speedup: Optional[float] = None
     worker: str = ""
-    #: simulation backend the job was pinned to (``None`` = config
-    #: default); engines are cycle-identical, so this is telemetry,
-    #: not identity — labels and reference keys stay engine-free
+    #: simulation backend the job was pinned to (``reference`` or
+    #: ``compiled``; ``None`` = the config default, ``reference``);
+    #: engines are cycle-identical, so this is telemetry, not identity
+    #: — labels and reference keys stay engine-free
     engine: Optional[str] = None
     spans: Dict[str, float] = field(default_factory=dict)
     #: simulator throughput for this job (simulated cycles per second
@@ -209,11 +210,12 @@ def _execute_jobs(jobs: Sequence[CampaignJob], cache_dir: str,
     miss.
 
     Cache misses whose engine registers a **batch** entry point
-    (``ENGINES.batch``) are replayed together through one
-    ``simulate_batch`` call — lanes share the columnar decode pass and
-    per-job setup — instead of one ``simulate`` call each; per-lane
-    replay times keep each record's ``simulate`` span meaningful (the
-    shared batch overhead is split evenly across the lanes).
+    (``ENGINES.batch``, e.g. ``compiled``) are replayed together
+    through one ``simulate_batch`` call — lanes of one trace share its
+    lowering and memoized columns — instead of one ``simulate`` call
+    each; per-lane replay times keep each record's ``simulate`` span
+    meaningful (any shared batch overhead is split evenly across the
+    lanes).
 
     Each stage is timed into the record's ``spans`` dict; with
     *profile_dir* set, a cache miss runs unbatched under
@@ -266,7 +268,7 @@ def _execute_jobs(jobs: Sequence[CampaignJob], cache_dir: str,
                                    start)
 
     # group the misses by engine; batch-capable engines replay their
-    # whole group in one columnar pass
+    # whole group in one call
     by_engine: Dict[Optional[str], List[tuple]] = {}
     for item in pending:
         by_engine.setdefault(item[2].engine, []).append(item)
@@ -360,8 +362,9 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
                                     profile_arg):
             finish(record)
     elif profile_arg is None and _batchable():
-        # batch-capable engines want whole chunks per worker so lanes
-        # share one columnar pass; contiguous slices keep report order
+        # batch-capable engines want whole chunks per worker so a
+        # trace's mode grid shares one lowering; contiguous slices keep
+        # report order
         size = -(-len(jobs) // workers)
         chunks = [list(jobs[i:i + size])
                   for i in range(0, len(jobs), size)]

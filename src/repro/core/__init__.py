@@ -22,7 +22,7 @@ from .config import (
 from .cpu import CoreSimulator, SimResult, simulate
 from .engine import ENGINES, EngineRegistry
 from .last_arrival import LastArrivalPredictor
-from .lower import LoweredTrace, lower_trace, lowering_digest
+from .lower import LoweredTrace, lower_trace
 from .overheads import OverheadReport, overhead_report
 from .pvt import (
     CriticalPathMonitor,
@@ -54,7 +54,7 @@ __all__ = [
     "PVTRecalibrator", "ReadyQueues", "RecycleMode", "SCENARIOS",
     "SMALL", "SchedulerDesign", "SelectRequest", "SequenceTracker",
     "SimResult", "SlackKey", "SlackLUT", "TickBase", "WIDTH_CLASSES",
-    "WidthPredictor", "lower_trace", "lowering_digest",
+    "WidthPredictor", "lower_trace",
     "multi_grant_bitlevel", "resolve_execution",
     "delay_scale", "overhead_report", "recalibration_report",
     "select_requests", "simulate", "wake_cycle",

@@ -1,4 +1,4 @@
-"""Compiled timing backend: the lowered-trace engine.
+"""Compiled timing backend: columnar replay of a lowered trace.
 
 :class:`CompiledSimulator` replays a :class:`~repro.core.lower.LoweredTrace`
 through the same pipeline semantics as
@@ -12,12 +12,35 @@ pointers (``commit <= dispatch <= fetch``) over the trace order; rename,
 memory disambiguation and static decode were already done once by the
 lowering pass.
 
-The engine is **bit-identical** to the reference model by construction
-and by CI: the backend-equivalence matrix runs ``--exact-cycles`` per
-engine, the lowering unit tests compare full ``SimStats`` records, and
-``repro.verify`` cross-fuzzes the engines nightly.  Anything
-observability-related is absent on purpose — the engine registry routes
-traced runs to the reference backend.
+Everything that does not depend on the replay state is computed ahead
+of time as plain-list columns and memoized on the lowered trace:
+
+* **entry columns** — predictor hash columns (``pc % 4096`` for the
+  width predictor, ``pc % 1024`` for the last-arrival predictor) and a
+  **branch-resolution column**: fetch trains the gshare predictor
+  strictly in trace order, whatever the timing does, so every
+  conditional branch's mispredict bit is a pure function of the trace
+  and the replay's fetch stage never touches a predictor table;
+* **decode columns** — transparency, latency, static EX-TIME, width
+  buckets and the width-resolved actual EX-TIME per entry, keyed by the
+  slice of the config decode reads (:func:`_decode_key`), so a
+  cores × modes sweep shares them wherever they are provably identical
+  (REDSOC and MOS decode the same columns; only BASELINE differs);
+* **slack LUT / tick base** — read-only after construction and shared
+  process-wide per (ticks, tech, PVT) instead of rebuilt per run.
+
+What remains per run is the serializing replay of the machine itself —
+wakeup/select, FU reservation, ROB/RS/LSQ occupancy, the width/
+last-arrival predictors and the adaptive threshold controller, whose
+table state is timing-dependent.
+
+The engine is **cycle-identical** to the reference model by
+construction and by CI: the backend-equivalence matrix runs
+``--exact-cycles`` per engine, the lowering and engine unit tests
+compare full ``SimStats`` records, and ``repro.verify`` cross-fuzzes
+the engines nightly.  Anything observability-related is absent on
+purpose — the engine registry routes traced runs to the reference
+backend.
 
 Correctness-critical deviations from a naive transcription (each proven
 equivalent in :mod:`repro.core.lower`'s notes and pinned by tests):
@@ -34,8 +57,10 @@ equivalent in :mod:`repro.core.lower`'s notes and pinned by tests):
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import HIGH_SLACK_FRACTION, SimStats
 from repro.isa.opcodes import (
@@ -102,6 +127,133 @@ def _decode_static(instr, config: CoreConfig, lut: SlackLUT,
     return (False, 1, tpc, False)
 
 
+#: process-wide read-only SlackLUT / TickBase per timing corner — the
+#: LUT is pure design-time analysis, identical for every run that
+#: shares (ticks_per_cycle, tech, pvt_scale)
+_lut_memo: Dict[tuple, Tuple[TickBase, SlackLUT]] = {}
+
+
+def _shared_lut(config: CoreConfig) -> Tuple[TickBase, SlackLUT]:
+    key = (config.ticks_per_cycle, config.tech, config.pvt_scale)
+    pair = _lut_memo.get(key)
+    if pair is None:
+        base = TickBase(config.ticks_per_cycle, config.tech)
+        lut = SlackLUT(base, pvt_scale=config.pvt_scale)
+        pair = _lut_memo[key] = (base, lut)
+    return pair
+
+
+# ---------------------------------------------------------------------
+# per-trace columnar precompute
+# ---------------------------------------------------------------------
+
+
+class _EntryColumns:
+    """Config-independent columns derived from one lowered trace, plus
+    the per-decode-key cache of its :class:`_DecodeColumns`."""
+
+    __slots__ = ("phash", "lhash", "misp", "br_n", "br_wrong", "decode")
+
+    def __init__(self, low: LoweredTrace) -> None:
+        pcs = low.pc
+        self.phash = [pc % 4096 for pc in pcs]
+        self.lhash = [pc % 1024 for pc in pcs]
+        # gshare resolution column: fetch trains the branch predictor
+        # strictly in trace order (its state never depends on timing),
+        # so every conditional branch's mispredict bit is a pure
+        # function of the trace and resolves ahead of the replay
+        misp = [0] * low.n
+        counters = [2] * 4096
+        hist = 0
+        wrong = 0
+        takens = low.taken
+        sites = [i for i, b in enumerate(low.is_cond_branch) if b]
+        for i in sites:
+            t = takens[i]
+            g = (pcs[i] ^ hist) % 4096
+            c = counters[g]
+            if t:
+                if c < 3:
+                    counters[g] = c + 1
+            elif c > 0:
+                counters[g] = c - 1
+            hist = ((hist << 1) | t) & 4095
+            if (c >= 2) != bool(t):
+                misp[i] = 1
+                wrong += 1
+        self.misp = misp
+        self.br_n = len(sites)
+        self.br_wrong = wrong
+        self.decode: Dict[tuple, _DecodeColumns] = {}
+
+
+class _DecodeColumns:
+    """Config-dependent per-entry decode columns."""
+
+    __slots__ = ("transp", "lat", "ex", "arith", "wb", "actual_ex",
+                 "s_exwc")
+
+    def __init__(self, low: LoweredTrace, config: CoreConfig,
+                 lut: SlackLUT, tpc: int) -> None:
+        # per-static-instruction tables (the small dimension) ...
+        table = [_decode_static(instr, config, lut, tpc)
+                 for instr in low.instrs]
+        self.s_exwc: List[Optional[tuple]] = [
+            tuple(lut.ex_time(instr, w) for w in _WIDTH_CLASSES)
+            if row[3] else None
+            for instr, row in zip(low.instrs, table)]
+        # ... gathered into per-entry columns
+        sidx = low.static_idx
+        self.transp = [table[s][0] for s in sidx]
+        self.lat = [table[s][1] for s in sidx]
+        ex = self.ex = [table[s][2] for s in sidx]
+        arith = self.arith = [table[s][3] for s in sidx]
+        wb = self.wb = [0] * low.n
+        actual_ex = self.actual_ex = ex[:]
+        widths = low.op_width
+        s_exwc = self.s_exwc
+        for i, a in enumerate(arith):
+            if a:
+                b = width_bucket(widths[i])
+                wb[i] = b
+                actual_ex[i] = s_exwc[sidx[i]][(b >> 3) - 1]
+
+
+def _decode_key(config: CoreConfig) -> tuple:
+    """The slice of the config the decode columns depend on.
+
+    ``_decode_static`` reads only recycling-on/off (not which recycling
+    flavour), the tick base, the PVT corner and the fixed latencies —
+    REDSOC and MOS therefore share one decode, BASELINE gets its own.
+    """
+    return (config.mode is RecycleMode.BASELINE,
+            config.ticks_per_cycle, config.tech, config.pvt_scale,
+            config.mul_latency, config.div_latency, config.fp_latency,
+            config.fdiv_latency, config.simd_multicycle_latency)
+
+
+def _entry_columns(low: LoweredTrace) -> _EntryColumns:
+    cols = getattr(low, "_columns", None)
+    if cols is None:
+        cols = low._columns = _EntryColumns(low)
+    return cols
+
+
+def _decode_columns(low: LoweredTrace, config: CoreConfig,
+                    lut: SlackLUT, tpc: int) -> _DecodeColumns:
+    cache = _entry_columns(low).decode
+    key = _decode_key(config)
+    decode = cache.get(key)
+    if decode is None:
+        decode = cache[key] = _DecodeColumns(low, config, lut, tpc)
+    return decode
+
+
+# ---------------------------------------------------------------------
+# the replay engine
+# ---------------------------------------------------------------------
+
+
 class CompiledSimulator:
     """One compiled-backend run over one trace (single-use object)."""
 
@@ -109,7 +261,7 @@ class CompiledSimulator:
         self.trace = trace
         self.config = config
 
-    # The whole simulation is one function on purpose: every piece of
+    # The whole replay is one closure nest on purpose: every piece of
     # mutable state is a closure cell, every constant a local, and the
     # per-issue critical path runs without a single attribute lookup.
     def run(self):                                      # noqa: C901
@@ -120,8 +272,7 @@ class CompiledSimulator:
         low: LoweredTrace = lower_trace(trace)
         n = low.n
 
-        base = TickBase(config.ticks_per_cycle, config.tech)
-        lut = SlackLUT(base, pvt_scale=config.pvt_scale)
+        base, lut = _shared_lut(config)
         mem = MemoryHierarchy(config.memory)
         load_latency = mem.load_latency
         store_latency = mem.store_latency
@@ -148,48 +299,31 @@ class CompiledSimulator:
         WATCH_ALL = (config.mode is RecycleMode.BASELINE
                      or config.scheduler is SchedulerDesign.ILLUSTRATIVE)
 
-        # -- static instruction table (decode hoisted out of dispatch) -
-        n_static = len(low.instrs)
-        s_transp = [False] * n_static
-        s_lat = [1] * n_static
-        s_ex = [0] * n_static
-        s_arith = [False] * n_static
-        s_exwc = [None] * n_static      # arith: EX-TIME per width class
-        for si, instr in enumerate(low.instrs):
-            t, latency, ex, arith = _decode_static(instr, config, lut, TPC)
-            s_transp[si] = t
-            s_lat[si] = latency
-            s_ex[si] = ex
-            s_arith[si] = arith
-            if arith:
-                s_exwc[si] = tuple(lut.ex_time(instr, w)
-                                   for w in _WIDTH_CLASSES)
+        # -- memoized columnar precompute ------------------------------
+        cols = _entry_columns(low)
+        decode = _decode_columns(low, config, lut, TPC)
 
-        # -- per-entry columns as plain lists --------------------------
-        sidx = low.static_idx.tolist()
-        pcs = low.pc.tolist()
-        widths = low.op_width.tolist()
-        addrs = low.mem_addr.tolist()
-        sizes = low.mem_size.tolist()
-        clsi = low.cls_idx.tolist()
-        takens = list(low.taken)
-        stores_f = list(low.is_store)
-        condbr = list(low.is_cond_branch)
-        odeps = low.order_dep.tolist()
+        sidx = low.static_idx
+        pcs = low.pc
+        addrs = low.mem_addr
+        sizes = low.mem_size
+        clsi = low.cls_idx
+        takens = low.taken
+        stores_f = low.is_store
+        odeps = low.order_dep
+        misp = cols.misp
+        phash = cols.phash
+        lhash = cols.lhash
         producers = low.producers
         dependents = low.dependents
 
-        transp = [s_transp[si_] for si_ in sidx]
-        lat = [s_lat[si_] for si_ in sidx]
-        ex = [s_ex[si_] for si_ in sidx]
-        arith = [s_arith[si_] for si_ in sidx]
-        wb = [0] * n                  # width bucket (arith entries only)
-        actual_ex = ex[:]
-        for i in range(n):
-            if arith[i]:
-                b = width_bucket(widths[i])
-                wb[i] = b
-                actual_ex[i] = s_exwc[sidx[i]][(b >> 3) - 1]
+        s_exwc = decode.s_exwc
+        transp = decode.transp
+        lat = decode.lat
+        arith = decode.arith
+        wb = decode.wb
+        actual_ex = decode.actual_ex
+        ex = decode.ex[:]         # mutated by width prediction per run
 
         # -- per-seq dynamic state -------------------------------------
         state = bytearray(n)          # 0 DISPATCHED / 1 ISSUED / 2 COMMITTED
@@ -243,15 +377,13 @@ class CompiledSimulator:
         lanes = tuple((idx, counts[idx], busies[idx], queues[idx])
                       for idx in _LANE_ORDER)
 
-        # predictors, inlined as plain tables
+        # width / last-arrival predictors as plain tables (the gshare
+        # front end is gone: `misp` resolved it per entry already)
         w_class = [32] * 4096
         w_conf = [0] * 4096
         w_lookups = w_exact = w_cons = w_aggr = 0
         la_tab = [True] * 1024
         la_n = la_wrong = 0
-        br_counters = [2] * 4096
-        br_hist = 0
-        br_n = br_wrong = 0
 
         # transparent-sequence chains
         chain_len = []
@@ -393,7 +525,7 @@ class CompiledSimulator:
                     w_cons += 1
                 else:
                     w_aggr += 1
-                e = pcs[s] % 4096
+                e = phash[s]
                 if w_class[e] == actual:
                     c = w_conf[e] + 1
                     w_conf[e] = c if c < 3 else 3
@@ -410,7 +542,7 @@ class CompiledSimulator:
                         second_last = c2 > c1
                         if bool(sec_pred[s]) != second_last:
                             la_wrong += 1
-                        la_tab[pcs[s] % 1024] = second_last
+                        la_tab[lhash[s]] = second_last
 
         def try_issue(s, cycle, eager):
             """0 = issued, 1 = stall, 2 = replayed."""
@@ -697,7 +829,7 @@ class CompiledSimulator:
                 count += 1
 
                 if arith[i]:
-                    e = pcs[i] % 4096
+                    e = phash[i]
                     p_w = w_class[e] if w_conf[e] >= 3 else 32
                     width_app[i] = 1
                     pred_w[i] = p_w
@@ -712,7 +844,7 @@ class CompiledSimulator:
                 if WATCH_ALL or not transp[i] or len(live) != 2:
                     watched = live
                 else:
-                    sp = la_tab[pcs[i] % 1024]
+                    sp = la_tab[lhash[i]]
                     la_app[i] = 1
                     sec_pred[i] = 1 if sp else 0
                     watched = [live[1] if sp else live[0]]
@@ -756,11 +888,11 @@ class CompiledSimulator:
                 st_dispatch_stall += 1
 
         # ---------------------------------------------------------------
-        # fetch
+        # fetch — gshare already resolved into the `misp` column
         # ---------------------------------------------------------------
 
         def fetch(cycle):
-            nonlocal F, blocked, br_hist, br_n, br_wrong
+            nonlocal F, blocked
             fetched = 0
             taken_seen = 0
             while F < n and fetched < FRONT and F - D < QUEUE_CAP:
@@ -768,23 +900,10 @@ class CompiledSimulator:
                 F += 1
                 fetched += 1
                 if clsi[i] == _I_BRANCH:
-                    t = takens[i]
-                    if condbr[i]:
-                        g = (pcs[i] ^ br_hist) % 4096
-                        c = br_counters[g]
-                        predicted = c >= 2
-                        if t:
-                            if c < 3:
-                                br_counters[g] = c + 1
-                        elif c > 0:
-                            br_counters[g] = c - 1
-                        br_hist = ((br_hist << 1) | t) & 4095
-                        br_n += 1
-                        if predicted != bool(t):
-                            br_wrong += 1
+                    if misp[i]:
                             blocked = i
                             break
-                    if t:
+                    if takens[i]:
                         taken_seen += 1
                         if taken_seen > TAKEN_PER_CYCLE:
                             break
@@ -859,7 +978,7 @@ class CompiledSimulator:
                 threshold = probe_plan.pop(0)
 
         # ---------------------------------------------------------------
-        # main event-driven loop (mirrors CoreSimulator._run_fast)
+        # main event-driven loop
         # ---------------------------------------------------------------
 
         limit = 200 * n + 100_000
@@ -938,7 +1057,7 @@ class CompiledSimulator:
                 cycle = target
 
         # ---------------------------------------------------------------
-        # finalize (mirrors CoreSimulator._finalize via the registry)
+        # finalize (mirrors CoreSimulator._finalize)
         # ---------------------------------------------------------------
 
         stats = SimStats()
@@ -977,12 +1096,41 @@ class CompiledSimulator:
         m.gauge("seq.mean_length").set(
             total_len / len(chain_len) if chain_len else 0.0)
         m.gauge("seq.count").set(len(chain_len))
-        m.gauge("front.branches").set(br_n)
-        m.gauge("front.branch_mispredicts").set(br_wrong)
+        m.gauge("front.branches").set(cols.br_n)
+        m.gauge("front.branch_mispredicts").set(cols.br_wrong)
         stats.populate_from(m)
         stats.export_counters(m)
         m.gauge("core.ipc").set(stats.ipc)
         return SimResult(name=trace.name, config=config, stats=stats)
 
 
-__all__ = ["CompiledSimulator"]
+def simulate_batch(items, *, lane_times: Optional[list] = None):
+    """Replay K independent ``(trace, config)`` jobs, one after another.
+
+    Returns one :class:`~repro.core.cpu.SimResult` per item, in order.
+    Lanes that share a trace share its lowering and entry columns, and
+    lanes that also share a decode key share the decode columns (both
+    memoized on the lowered trace).  K=1, ragged lane lengths and empty
+    traces are all fine.
+
+    *lane_times*, when given a list, receives one per-lane replay
+    wall-time (seconds) per item — campaign telemetry uses it to keep
+    per-job ``sim_cycles_per_sec`` meaningful under batching.
+    """
+    pairs: List[Tuple[Trace, CoreConfig]] = []
+    for workload, config in items:
+        if not isinstance(workload, Trace):
+            raise TypeError(
+                f"simulate_batch expects pre-generated Traces, got "
+                f"{type(workload)}")
+        pairs.append((workload, config))
+    results = []
+    for trace, config in pairs:
+        start = time.perf_counter()
+        results.append(CompiledSimulator(trace, config).run())
+        if lane_times is not None:
+            lane_times.append(time.perf_counter() - start)
+    return results
+
+
+__all__ = ["CompiledSimulator", "simulate_batch"]

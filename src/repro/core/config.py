@@ -72,12 +72,11 @@ class CoreConfig:
     scheduler: SchedulerDesign = SchedulerDesign.OPERATIONAL
     #: simulation backend (timing-irrelevant: every registered engine is
     #: cycle-identical, enforced by the CI backend-equivalence matrix).
-    #: ``reference`` forces the per-cycle step loop, ``fast`` is the
-    #: event-driven skip-ahead loop, ``compiled`` lowers the trace into
-    #: flat columns and runs specialized straight-line code, ``vector``
-    #: replays the lowered columns with memoized NumPy decode passes
-    #: and supports batched multi-trace runs (requires numpy>=1.24)
-    engine: str = "fast"
+    #: ``reference`` is the per-cycle step loop (the oracle, and the
+    #: only path with observability probes); ``compiled`` lowers the
+    #: trace and replays memoized per-trace columns — faster, but its
+    #: columns cost memory, so it is opt-in
+    engine: str = "reference"
     skewed_select: bool = True
     #: run the Eager-Grandparent (GP) select phase at all; False keeps
     #: transparent execution but never co-issues children with their

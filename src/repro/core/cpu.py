@@ -88,12 +88,9 @@ class CoreSimulator:
     """One core simulating one trace (single-use object)."""
 
     def __init__(self, trace: Trace, config: CoreConfig, *,
-                 obs=None, force_step: bool = False) -> None:
+                 obs=None) -> None:
         self.trace = trace
         self.config = config
-        #: True pins run() to the per-cycle step loop even without an
-        #: observer — the ``reference`` backend of the engine registry
-        self._force_step = force_step
         #: event sink (None = tracing off; every emission site below is
         #: guarded by a single `is None` check so the untraced hot loop
         #: does the same work as an uninstrumented simulator)
@@ -186,17 +183,13 @@ class CoreSimulator:
     def run(self) -> SimResult:
         total = len(self.trace.entries)
         limit = 200 * total + 100_000
-        if self.obs is None and not self._force_step:
-            self._run_fast(total, limit)
-        else:
-            # traced runs keep the plain per-cycle loop so per-cycle
-            # events (DISPATCH_STALL, FU_STALL, WAKEUP, ...) are emitted
-            # for every stalled cycle, exactly as an uninstrumented
-            # per-cycle simulator would order them
-            while self._committed < total:
-                self._step()
-                if self.cycle > limit:
-                    self._wedged(total)
+        while self._committed < total:
+            self._step()
+            if self.cycle > limit:
+                raise RuntimeError(
+                    f"simulation wedged: {self._committed}/{total} "
+                    f"committed after {self.cycle} cycles "
+                    f"(trace {self.trace.name!r})")
         issues = self.res.stats.issues
         for op_class, idx in OPCLASS_INDEX.items():
             if self._issue_counts[idx]:
@@ -205,134 +198,6 @@ class CoreSimulator:
         self._finalize()
         return SimResult(name=self.trace.name, config=self.config,
                          stats=self.stats)
-
-    def _wedged(self, total: int) -> None:
-        raise RuntimeError(
-            f"simulation wedged: {self._committed}/{total} committed "
-            f"after {self.cycle} cycles (trace {self.trace.name!r})")
-
-    def _run_fast(self, total: int, limit: int) -> None:
-        """Event-driven main loop (untraced runs).
-
-        Simulates exactly the cycles where architectural state can
-        change and *skips* the provably-idle stretches between them,
-        accumulating their cycle/stall statistics in bulk.  A cycle is
-        idle when nothing is select-eligible, the ROB head cannot
-        retire, the front end can neither fetch nor dispatch, and no
-        wakeup is due; the next interesting cycle is then the earliest
-        of the next scheduled wakeup, the ROB head's completion, and
-        the fetch-resume cycle.  Jumps are clamped so that boundary
-        cycles of the adaptive-threshold controller and the periodic
-        FU-table cleanup are still simulated normally — every side
-        effect of the per-cycle loop is reproduced exactly, keeping the
-        two loops cycle-for-cycle bit-identical (enforced by
-        ``check_regression.py --exact-cycles`` and the ``repro.verify``
-        differential oracle).
-        """
-        ready = self.ready
-        rob = self._rob
-        fetch_queue = self._fetch_queue
-        stats = self.stats
-        config = self.config
-        res = self.res
-        entries_total = len(self.trace.entries)
-        queue_cap = 2 * config.front_width
-        adaptive = self._adaptive
-        window = config.threshold_window
-        issued_state = UopState.ISSUED
-        wake_heap = ready._wake_heap
-        cycle = self.cycle
-        while self._committed < total:
-            self.cycle = cycle
-            if wake_heap and wake_heap[0] <= cycle:
-                ready.advance_to(cycle)
-            if rob:
-                self._commit(cycle)
-            if ready.live_total:
-                self._schedule(cycle)
-            if fetch_queue:
-                self._dispatch(cycle)
-            if (self._blocked_on_seq is None
-                    and cycle >= self._fetch_resume
-                    and self._fetch_idx < entries_total
-                    and len(fetch_queue) < queue_cap):
-                self._fetch(cycle)
-            stats.cycles += 1
-            if cycle and not cycle & 4095:
-                res.release_past(cycle)
-            if adaptive and cycle and not cycle % window:
-                self._adapt_threshold()
-            cycle += 1
-            self.cycle = cycle
-            if cycle > limit:
-                self._wedged(total)
-            if self._committed >= total:
-                break
-
-            # -- skip-ahead: is the machine provably idle at `cycle`? --
-            if ready.live_total:
-                continue
-            head_done = None
-            if rob:
-                head = rob[0]
-                if head.state is issued_state:
-                    head_done = head.done_cycle
-                    if head_done is not None and head_done <= cycle:
-                        continue
-            can_fetch = (self._blocked_on_seq is None
-                         and self._fetch_idx < entries_total
-                         and len(fetch_queue) < queue_cap)
-            if can_fetch and self._fetch_resume <= cycle:
-                continue
-            if fetch_queue and not self._dispatch_blocked():
-                continue
-            target = ready.next_wake_cycle()
-            if head_done is not None and (target is None
-                                          or head_done < target):
-                target = head_done
-            if can_fetch and (target is None
-                              or self._fetch_resume < target):
-                target = self._fetch_resume
-            if target is None or target <= cycle:
-                # nothing schedulable ahead (a wedge): fall back to
-                # plain stepping, which preserves the wedge detector
-                continue
-            if adaptive:
-                rem = cycle % window
-                boundary = cycle - rem + (window if rem or not cycle
-                                          else 0)
-                if boundary < target:
-                    target = boundary
-            rem = cycle & 4095
-            boundary = cycle - rem + (4096 if rem or not cycle else 0)
-            if boundary < target:
-                target = boundary
-            if target > cycle:
-                skipped = target - cycle
-                stats.cycles += skipped
-                if fetch_queue:
-                    # the fetch-queue head stays dispatch-blocked for
-                    # every skipped cycle (per-cycle stall accounting)
-                    stats.dispatch_stall_cycles += skipped
-                cycle = target
-
-    def _dispatch_blocked(self) -> bool:
-        """Would :meth:`_dispatch` stall without dispatching anything?
-
-        Mirrors the head-of-queue allocation checks in
-        :meth:`_dispatch` exactly (same order, same structures).
-        """
-        config = self.config
-        if len(self._rob) >= config.rob_size:
-            return True
-        cls = self._fetch_queue[0][1].cls
-        if (cls is not OpClass.NOP and cls is not OpClass.HALT
-                and self._rs_used >= config.rse_size):
-            return True
-        if ((cls is OpClass.LOAD or cls is OpClass.STORE)
-                and self._lsq_used >= config.lsq_size):
-            return True
-        return False
 
     def _step(self) -> None:
         cycle = self.cycle
@@ -1202,18 +1067,10 @@ def simulate(workload, config: CoreConfig, *,
 
 
 # -- engine registration -----------------------------------------------
-# "reference" pins the per-cycle loop, "fast" is this module's
-# event-driven loop, "compiled" lowers the trace and runs specialized
-# code (falling back to the reference path whenever an observer is
-# attached — the compiled loop carries no probe points).
-
-def _reference_engine(trace: Trace, config: CoreConfig, *, obs=None):
-    return CoreSimulator(trace, config, obs=obs, force_step=True)
-
-
-def _fast_engine(trace: Trace, config: CoreConfig, *, obs=None):
-    return CoreSimulator(trace, config, obs=obs)
-
+# "reference" is this module's per-cycle loop; "compiled" lowers the
+# trace and replays precomputed columns (falling back to the reference
+# loop whenever an observer is attached — the compiled loop carries no
+# probe points).
 
 def _compiled_engine(trace: Trace, config: CoreConfig, *, obs=None):
     if obs is not None:
@@ -1224,21 +1081,10 @@ def _compiled_engine(trace: Trace, config: CoreConfig, *, obs=None):
     return CompiledSimulator(trace, config)
 
 
-def _vector_engine(trace: Trace, config: CoreConfig, *, obs=None):
-    if obs is not None:
-        # same fallback as "compiled": probe points live in the
-        # reference loop only
-        return CoreSimulator(trace, config, obs=obs)
-    from .vector import VectorSimulator       # lazy: breaks the cycle
-    return VectorSimulator(trace, config)
-
-
-def _vector_batch(items, *, lane_times=None):
-    from .vector import simulate_batch       # lazy: breaks the cycle
+def _compiled_batch(items, *, lane_times=None):
+    from .compiled import simulate_batch     # lazy: breaks the cycle
     return simulate_batch(items, lane_times=lane_times)
 
 
-ENGINES.register("reference", _reference_engine)
-ENGINES.register("fast", _fast_engine)
-ENGINES.register("compiled", _compiled_engine)
-ENGINES.register("vector", _vector_engine, batch=_vector_batch)
+ENGINES.register("reference", CoreSimulator)
+ENGINES.register("compiled", _compiled_engine, batch=_compiled_batch)

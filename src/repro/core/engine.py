@@ -1,34 +1,30 @@
 """Pluggable simulation-backend registry.
 
-The cycle model has one semantics and several implementations:
+The cycle model has one semantics and two implementations:
 
 * ``reference`` — the per-cycle :meth:`CoreSimulator._step` loop, one
-  cycle at a time, observability-friendly.  Slowest, simplest, the
-  differential oracle every other backend is checked against.
-* ``fast`` — the event-driven skip-ahead loop (PR 5); bit-identical to
-  ``reference`` by construction and by CI.
+  cycle at a time, observability-friendly.  The default, and the
+  differential oracle the other backend is checked against.
 * ``compiled`` — lowers the dynamic trace into flat parallel columns
-  (:mod:`repro.core.lower`) and runs a config-specialized engine
-  (:mod:`repro.core.compiled`).  Falls back to ``reference`` whenever
-  an observer is attached (the compiled loop has no probe points).
-* ``vector`` — NumPy columnar replay (:mod:`repro.core.vector`):
-  decode, width-class and branch-resolution columns precomputed as
-  whole-array gathers and memoized per trace, plus batch lanes
-  (``simulate_batch``) that decode K independent jobs in one
-  concatenated pass.  Same observer fallback as ``compiled``.
+  (:mod:`repro.core.lower`), precomputes decode, predictor-hash and
+  branch-resolution columns once per trace, and replays them in one
+  event-skipping closure (:mod:`repro.core.compiled`).  Falls back to
+  ``reference`` whenever an observer is attached (the compiled loop
+  has no probe points).
 
 Backends register a factory ``(trace, config, obs=None) -> runner``
 where ``runner.run()`` returns a :class:`~repro.core.cpu.SimResult`.
 A backend may additionally register a *batch* entry point
 ``batch(items) -> [SimResult]`` taking ``(trace, config)`` pairs;
 callers with many independent jobs probe :meth:`EngineRegistry.batch`
-to amortize per-job setup (campaign runner, fuzz oracle, serve sweeps).
-Every engine must be *cycle-identical*: the backend-equivalence CI
-matrix runs ``check_regression.py --exact-cycles`` once per engine and
-fails on any diff, and :mod:`repro.verify` fuzzes engines against each
-other nightly.  An engine is a performance choice, never a semantics
-choice — which is why ``CoreConfig.engine`` is a plain string any
-config path (campaign, serve, verify CLI) can thread through.
+and hand them over in one call (campaign runner, fuzz oracle, serve
+sweeps).  Every engine must be *cycle-identical*: the
+backend-equivalence CI matrix runs ``check_regression.py
+--exact-cycles`` once per engine and fails on any diff, and
+:mod:`repro.verify` fuzzes engines against each other nightly.  An
+engine is a performance choice, never a semantics choice — which is
+why ``CoreConfig.engine`` is a plain string any config path (campaign,
+serve, verify CLI) can thread through.
 """
 
 from __future__ import annotations

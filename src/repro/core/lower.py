@@ -7,16 +7,12 @@ re-derive per uop can be computed **once per trace**:
 
 * **columns** — per-entry scalars (`pc`, `op_width`, `mem_addr`, FU
   class index, slack-LUT/static-instruction index, ...) land in flat
-  ``array('q')`` / ``bytearray`` columns instead of per-uop objects;
+  plain-list columns instead of per-uop objects;
 * **static dataflow** — an architectural-register RAT walk over the
   trace yields, for every entry, the exact producer seqs its dispatch
   rename would resolve (the RAT never rewinds: dispatch is
   trace-ordered), the youngest older overlapping store
-  (``order_dep``), and the forward dependents list;
-* **basic blocks** — maximal straight-line runs (ended by branches or
-  any non-sequential ``next_pc``), length-capped and deduplicated by
-  their static-pc tuple, so backends can specialize per-block
-  straight-line step functions and reuse them across loop iterations.
+  (``order_dep``), and the forward dependents list.
 
 The lowering is *config-independent* (no mode/threshold/width-predictor
 state leaks in) and memoized on the trace object, so one trace swept
@@ -37,19 +33,12 @@ Correctness notes (the equivalences the compiled backend relies on):
 
 from __future__ import annotations
 
-import hashlib
-from array import array
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.isa.opcodes import Cond, OpClass, Opcode
 from repro.pipeline.trace import Trace
 from repro.pipeline.uop import OPCLASS_INDEX
-
-#: straight-line specialization cap: longer runs are split so generated
-#: step functions stay small enough for CPython's compiler to digest
-MAX_BLOCK_LEN = 64
 
 
 @dataclass
@@ -59,35 +48,26 @@ class LoweredTrace:
     trace: Trace
     n: int
     # -- per-dynamic-entry columns -------------------------------------
-    pc: array
-    next_pc: array
-    op_width: array
-    mem_addr: array          # -1 when the entry touches no memory
-    mem_size: array
-    cls_idx: array           # OPCLASS_INDEX of the FU class
-    static_idx: array        # index into `instrs` (the slack-LUT index)
-    taken: bytearray
-    is_store: bytearray
-    is_cond_branch: bytearray   # conditional B: the gshare-visible ops
+    pc: List[int]
+    op_width: List[int]
+    mem_addr: List[int]      # -1 when the entry touches no memory
+    mem_size: List[int]
+    cls_idx: List[int]       # OPCLASS_INDEX of the FU class
+    static_idx: List[int]    # index into `instrs` (the slack-LUT index)
+    taken: List[int]
+    is_store: List[int]
+    is_cond_branch: List[int]   # conditional B: the gshare-visible ops
     # -- static dataflow ------------------------------------------------
     producers: Tuple[Tuple[int, ...], ...]
-    order_dep: array         # seq of the youngest older overlapping store
+    order_dep: List[int]     # seq of the youngest older overlapping store
     dependents: Tuple[Tuple[int, ...], ...]
     # -- static instruction table --------------------------------------
-    instrs: Tuple            # unique static instructions
-    static_pcs: array        # pc of each static instruction
-    # -- basic blocks ---------------------------------------------------
-    blocks: Tuple[Tuple[int, ...], ...]   # each: tuple of static_idx
-    block_id: array          # per entry: which block
-    block_offset: array      # per entry: position inside its block
-    #: per-block dynamic start seqs (first execution is enough to
-    #: specialize; later executions reuse the same block function)
-    block_starts: Dict[int, List[int]] = field(default_factory=dict)
+    instrs: Tuple            # unique static instructions, keyed by pc
 
     def entry_tuple(self, i: int) -> tuple:
         """Round-trip view of entry *i* (tested against the Trace)."""
         return (self.instrs[self.static_idx[i]], self.pc[i],
-                self.next_pc[i], bool(self.taken[i]), self.op_width[i],
+                bool(self.taken[i]), self.op_width[i],
                 None if self.mem_addr[i] < 0 else self.mem_addr[i],
                 self.mem_size[i], bool(self.is_store[i]),
                 tuple(OPCLASS_INDEX)[self.cls_idx[i]])
@@ -110,20 +90,18 @@ def lower_trace(trace: Trace) -> LoweredTrace:
 
     entries = trace.entries
     n = len(entries)
-    col_pc = array("q", bytes(8 * n))
-    col_next_pc = array("q", bytes(8 * n))
-    col_width = array("q", bytes(8 * n))
-    col_addr = array("q", bytes(8 * n))
-    col_size = array("q", bytes(8 * n))
-    col_cls = array("q", bytes(8 * n))
-    col_static = array("q", bytes(8 * n))
-    col_taken = bytearray(n)
-    col_store = bytearray(n)
-    col_condbr = bytearray(n)
-    col_order = array("q", bytes(8 * n))
+    col_pc = [0] * n
+    col_width = [0] * n
+    col_addr = [0] * n
+    col_size = [0] * n
+    col_cls = [0] * n
+    col_static = [0] * n
+    col_taken = [0] * n
+    col_store = [0] * n
+    col_condbr = [0] * n
+    col_order = [0] * n
 
     instrs: List = []
-    static_pcs = array("q")
     static_of_pc: Dict[int, int] = {}
     io_memo: Dict[int, tuple] = {}
 
@@ -139,9 +117,7 @@ def lower_trace(trace: Trace) -> LoweredTrace:
         if sidx is None:
             sidx = static_of_pc[pc] = len(instrs)
             instrs.append(instr)
-            static_pcs.append(pc)
         col_pc[i] = pc
-        col_next_pc[i] = entry.next_pc
         col_width[i] = entry.op_width
         col_addr[i] = -1 if entry.mem_addr is None else entry.mem_addr
         col_size[i] = entry.mem_size or 0
@@ -183,45 +159,15 @@ def lower_trace(trace: Trace) -> LoweredTrace:
         for reg in dst_regs:
             rat[reg] = i
 
-    # -- basic blocks: maximal straight-line runs ----------------------
-    blocks: List[Tuple[int, ...]] = []
-    block_of: Dict[Tuple[int, ...], int] = {}
-    col_block = array("q", bytes(8 * n))
-    col_offset = array("q", bytes(8 * n))
-    block_starts: Dict[int, List[int]] = {}
-    i = 0
-    while i < n:
-        j = i
-        while True:
-            ends = (entries[j].cls is OpClass.BRANCH
-                    or entries[j].next_pc != entries[j].pc + 1
-                    or j - i + 1 >= MAX_BLOCK_LEN
-                    or j + 1 >= n)
-            if ends:
-                break
-            j += 1
-        key = tuple(col_static[i:j + 1])
-        bid = block_of.get(key)
-        if bid is None:
-            bid = block_of[key] = len(blocks)
-            blocks.append(key)
-        block_starts.setdefault(bid, []).append(i)
-        for k in range(i, j + 1):
-            col_block[k] = bid
-            col_offset[k] = k - i
-        i = j + 1
-
     lowered = LoweredTrace(
         trace=trace, n=n,
-        pc=col_pc, next_pc=col_next_pc, op_width=col_width,
+        pc=col_pc, op_width=col_width,
         mem_addr=col_addr, mem_size=col_size, cls_idx=col_cls,
         static_idx=col_static, taken=col_taken, is_store=col_store,
         is_cond_branch=col_condbr,
         producers=tuple(producers), order_dep=col_order,
         dependents=tuple(tuple(d) for d in dependents),
-        instrs=tuple(instrs), static_pcs=static_pcs,
-        blocks=tuple(blocks), block_id=col_block,
-        block_offset=col_offset, block_starts=block_starts)
+        instrs=tuple(instrs))
     try:
         trace._lowered = lowered
     except AttributeError:
@@ -229,31 +175,4 @@ def lower_trace(trace: Trace) -> LoweredTrace:
     return lowered
 
 
-#: modules whose source participates in compiled-result cache keys
-_LOWERING_SOURCES = ("lower.py", "compiled.py", "vector.py",
-                     "../pipeline/codegen.py")
-_digest_memo: Optional[str] = None
-
-
-def lowering_digest() -> str:
-    """Digest of the lowering + compiled-backend source.
-
-    Folded into campaign cache keys so that editing the compiled
-    backend can never serve a stale cached result (the engine name
-    alone would not catch a bug fix inside the same engine).
-    """
-    global _digest_memo
-    if _digest_memo is None:
-        h = hashlib.sha256()
-        here = Path(__file__).parent
-        for name in _LOWERING_SOURCES:
-            path = here / name
-            if path.is_file():
-                h.update(name.encode())
-                h.update(path.read_bytes())
-        _digest_memo = h.hexdigest()[:16]
-    return _digest_memo
-
-
-__all__ = ["LoweredTrace", "MAX_BLOCK_LEN", "lower_trace",
-           "lowering_digest"]
+__all__ = ["LoweredTrace", "lower_trace"]

@@ -71,11 +71,11 @@ class ReadyQueues:
     drains that cycle's wakeups into per-FU-class pending queues, kept
     in age (sequence-number) order for oldest-first selection.
 
-    The structure is indexed for the event-driven hot loop:
+    The structure is indexed for the hot loop:
 
     * wake buckets live in a ``cycle -> [uops]`` map with a min-heap of
-      bucket cycles, so :meth:`next_wake_cycle` (the skip-ahead target)
-      is an O(1) peek and :meth:`advance_to` touches only due buckets;
+      bucket cycles, so :meth:`advance_to` is an O(1) peek on idle
+      cycles and touches only due buckets;
     * per-class pending queues are seq-sorted lists addressed by the
       uop's :data:`~repro.pipeline.uop.OPCLASS_INDEX` (no enum hashing),
       and :meth:`remove` is an O(1) tombstone (``uop.in_ready`` flips
@@ -86,7 +86,7 @@ class ReadyQueues:
     """
 
     __slots__ = ("_wake_at", "_wake_heap", "_queues", "_seqs", "_dead",
-                 "live_total", "obs")
+                 "obs")
 
     def __init__(self) -> None:
         n_classes = len(OPCLASS_INDEX)
@@ -95,9 +95,6 @@ class ReadyQueues:
         self._queues: List[List[Uop]] = [[] for _ in range(n_classes)]
         self._seqs: List[List[int]] = [[] for _ in range(n_classes)]
         self._dead: List[int] = [0] * n_classes
-        #: live (selectable) entries across every class — the hot loop's
-        #: "is there anything to select?" check
-        self.live_total = 0
         #: event sink (attached by the simulator on traced runs)
         self.obs = None
 
@@ -108,10 +105,6 @@ class ReadyQueues:
             heappush(self._wake_heap, cycle)
         else:
             bucket.append(uop)
-
-    def next_wake_cycle(self) -> Optional[int]:
-        """Earliest cycle with a scheduled wakeup (None when idle)."""
-        return self._wake_heap[0] if self._wake_heap else None
 
     def advance_to(self, cycle: int) -> None:
         """Drain wakeups due at or before *cycle* into the queues."""
@@ -138,7 +131,6 @@ class ReadyQueues:
                     seqs.insert(pos, uop.seq)
                     self._queues[idx].insert(pos, uop)
                 uop.in_ready = True
-                self.live_total += 1
 
     def lane(self, idx: int) -> List[Uop]:
         """The class-*idx* queue list for the simulator's select lanes.
@@ -175,7 +167,6 @@ class ReadyQueues:
             return
         uop.in_ready = False
         self._dead[uop.cls_idx] += 1
-        self.live_total -= 1
 
     def has_any_pending(self) -> bool:
         return any(u.in_ready and u.state is UopState.DISPATCHED

@@ -11,7 +11,7 @@ hash of the benchmark name (so refits are reproducible and the holdout
 never leaks into the coefficients), and solves *relative-space*
 weighted least squares (weights ``1/actual`` — the MAPE objective) on
 the train split with a tiny relative ridge via Gaussian elimination —
-no numpy.  The feature subset is chosen per group by worst-case error
+in pure Python.  The feature subset is chosen per group by worst-case error
 on data the coefficients never saw (leave-one-out refits plus the
 holdout as a validation set).  Negative coefficients are eliminated by
 iterative deletion (NNLS-by-deletion), and a negative intercept drops

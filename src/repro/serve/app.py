@@ -211,7 +211,7 @@ class ServeApp:
     def _batch_engine(payloads: List[Dict[str, Any]]) -> bool:
         """True when a sweep can ride one worker's batched replay —
         every payload is a named workload pinned to an engine with a
-        registered batch entry point (e.g. ``vector``)."""
+        registered batch entry point (e.g. ``compiled``)."""
         from repro.core.engine import ENGINES
         engine = payloads[0].get("engine")
         if not engine or engine not in ENGINES \
@@ -238,9 +238,9 @@ class ServeApp:
                 kind, payloads[0], deadline_s=deadline_s,
                 trace_parent=trace_parent)]
         elif self._batch_engine(payloads):
-            # the requested engine replays batched lanes in one pass:
+            # the requested engine replays batched lanes in one call:
             # ship the whole sweep grid to a single worker so every
-            # lane shares the trace lowering and the columnar decode
+            # lane shares the trace lowering and the memoized columns
             batched = await self.pool.run(
                 "simulate_batch", {"jobs": payloads},
                 deadline_s=deadline_s, trace_parent=trace_parent)

@@ -153,7 +153,7 @@ def _execute_simulate_batch(payload: Dict[str, Any],
 
     Every job probes the shared cache exactly like the single-job
     path; the cache misses then go through the engine's registered
-    ``simulate_batch`` (one columnar decode pass for all lanes) via
+    ``simulate_batch`` (lanes of one trace share its lowering) via
     :func:`repro.campaign.runner._execute_jobs`.
     """
     from repro.campaign.jobs import CampaignJob

@@ -147,10 +147,12 @@ def check_program(program: Program, *,
     a :func:`repro.campaign.cached_simulate` closure to read variant
     runs through the campaign result cache).
 
-    *engines* names simulation backends to cross-check: each one
-    re-simulates every mode and its **full SimStats record** must match
-    the audited run bit for bit (engines are performance choices, never
-    semantics choices).  Any drift flags an ``engine.stats`` divergence.
+    *engines* names simulation backends to cross-check (``reference``
+    and/or ``compiled``): each one re-simulates every mode and its
+    **full SimStats record** must match the audited run bit for bit
+    (engines are performance choices, never semantics choices).  Any
+    drift flags an ``engine.stats`` divergence.  Naming ``compiled``
+    also diffs the codegen trace generator against the interpreter.
     """
     modes = list(modes) if modes is not None else list(RecycleMode)
     verdict = ProgramVerdict(name=program.name)
@@ -206,7 +208,7 @@ def check_program(program: Program, *,
     # 2b. backend equivalence: each requested engine must reproduce the
     # audited run's SimStats exactly, mode by mode.  An engine with a
     # registered batch entry point replays all its mode legs in one
-    # batched columnar pass — itself part of the contract under test.
+    # batch call — itself part of the contract under test.
     for engine in engines or ():
         configs = [replace(config.with_mode(mode), engine=engine)
                    for mode in modes]

@@ -1,6 +1,7 @@
 """Cache keys: stability, invalidation, result round-trips."""
 
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.campaign.cache import (
     trace_fingerprint,
     trace_index_key,
 )
-from repro.core import CORES, RecycleMode, simulate
+from repro.core import CORES, CoreConfig, RecycleMode, simulate
 from repro.pipeline.trace import generate_trace
 from repro.workloads.suites import SUITES
 
@@ -203,23 +204,33 @@ class TestEngineInvalidation:
     def test_engine_changes_key(self, tiny_trace, config):
         compiled = replace(config, engine="compiled")
         reference = replace(config, engine="reference")
-        keys = {result_key(tiny_trace, c)
-                for c in (config, compiled, reference)}
-        assert len(keys) == 3
+        keys = {result_key(tiny_trace, c) for c in (compiled, reference)}
+        assert len(keys) == 2
+        # the default engine is reference: same config, same key
+        assert result_key(tiny_trace, replace(config, engine=CoreConfig(
+        ).engine)) == result_key(tiny_trace, reference)
 
-    def test_lowering_digest_changes_key(self, tiny_trace, config,
-                                         monkeypatch):
+    def test_model_version_covers_engine_sources(self, monkeypatch):
+        # editing an engine source must change every result key: the
+        # model version hashes each file of the model packages
         import repro.campaign.cache as cache_mod
 
-        before = result_key(tiny_trace, config)
-        monkeypatch.setattr(cache_mod, "lowering_digest",
-                            lambda: "feedfacefeedface")
-        assert result_key(tiny_trace, config) != before
+        before = cache_mod.model_version()
+        original = Path.read_bytes
+        for rel in ("core/compiled.py", "core/lower.py",
+                    "pipeline/codegen.py"):
+            def edited(path, rel=rel):
+                data = original(path)
+                return data + b"#" if path.as_posix().endswith(rel) \
+                    else data
+            monkeypatch.setattr(cache_mod, "_digest_memo", {})
+            monkeypatch.setattr(Path, "read_bytes", edited)
+            assert cache_mod.model_version() != before, rel
 
     def test_no_cross_engine_serving(self, tiny_trace, config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        fast = cached_simulate(tiny_trace,
-                               replace(config, engine="fast"), cache)
+        reference = cached_simulate(
+            tiny_trace, replace(config, engine="reference"), cache)
         compiled = cached_simulate(tiny_trace,
                                    replace(config, engine="compiled"),
                                    cache)
@@ -227,4 +238,4 @@ class TestEngineInvalidation:
         assert (cache.hits, cache.misses) == (0, 2)
         assert len(cache) == 2
         # ... and (being bit-identical backends) agree on the physics
-        assert asdict(compiled.stats) == asdict(fast.stats)
+        assert asdict(compiled.stats) == asdict(reference.stats)

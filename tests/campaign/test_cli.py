@@ -139,6 +139,14 @@ def test_run_rejects_unknown_selection(tmp_path):
     assert "unknown suite" in proc.stderr
 
 
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_run_rejects_removed_engines(tmp_path, engine):
+    proc = _campaign(RUN_ARGS + ["--engine", engine], tmp_path)
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+    assert "'reference'" in proc.stderr and "'compiled'" in proc.stderr
+
+
 def test_report_without_campaign_json(tmp_path):
     proc = _campaign(["report"], tmp_path)
     assert proc.returncode == 2

@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core import CORES, ENGINES, EngineRegistry, RecycleMode, simulate
-from repro.core.compiled import CompiledSimulator
-from repro.core.vector import VectorSimulator, simulate_batch
+from repro.core.compiled import CompiledSimulator, simulate_batch
+from repro.core.config import CoreConfig
 from repro.core.cpu import CoreSimulator
 from repro.obs import Recorder
 from repro.pipeline.trace import generate_trace
@@ -25,9 +25,8 @@ def config():
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert set(ENGINES.names()) >= {"reference", "fast",
-                                        "compiled", "vector"}
-        for name in ("reference", "fast", "compiled", "vector"):
+        assert ENGINES.names() == ("reference", "compiled")
+        for name in ("reference", "compiled"):
             assert name in ENGINES
 
     def test_unknown_engine_is_loud(self, tiny_trace, config):
@@ -36,15 +35,23 @@ class TestRegistry:
 
     def test_unknown_engine_lists_registered_names(self, tiny_trace,
                                                    config):
-        # the error must enumerate what IS registered, vector included
+        # the error must enumerate what IS registered
         with pytest.raises(ValueError) as err:
             ENGINES.create("warp", tiny_trace, config)
         message = str(err.value)
-        for name in ("reference", "fast", "compiled", "vector"):
+        for name in ("reference", "compiled"):
             assert name in message
 
+    @pytest.mark.parametrize("name", ["fast", "vector"])
+    def test_removed_engines_are_rejected(self, tiny_trace, config, name):
+        with pytest.raises(ValueError) as err:
+            ENGINES.create(name, tiny_trace, config)
+        message = str(err.value)
+        assert "unknown engine" in message
+        assert "'reference'" in message and "'compiled'" in message
+
     def test_batch_probe(self):
-        assert ENGINES.batch("vector") is not None
+        assert ENGINES.batch("compiled") is not None
         assert ENGINES.batch("reference") is None
         with pytest.raises(ValueError, match="unknown engine"):
             ENGINES.batch("warp")
@@ -74,20 +81,15 @@ class TestRegistry:
         registry.register("a", lambda *a, **k: None)
         assert registry.names() == ("b", "a")
 
-    def test_default_engine_is_fast(self, config):
-        assert config.engine == "fast"
+    def test_default_engine_is_reference(self, config):
+        assert CoreConfig().engine == "reference"
+        assert config.engine == "reference"
 
 
 class TestBackendSelection:
     def test_reference_pins_step_loop(self, tiny_trace, config):
         runner = ENGINES.create("reference", tiny_trace, config)
         assert isinstance(runner, CoreSimulator)
-        assert runner._force_step
-
-    def test_fast_is_the_event_driven_simulator(self, tiny_trace, config):
-        runner = ENGINES.create("fast", tiny_trace, config)
-        assert isinstance(runner, CoreSimulator)
-        assert not runner._force_step
 
     def test_compiled_backend(self, tiny_trace, config):
         runner = ENGINES.create("compiled", tiny_trace, config)
@@ -101,33 +103,24 @@ class TestBackendSelection:
                                 obs=Recorder())
         assert isinstance(runner, CoreSimulator)
 
-    def test_vector_backend(self, tiny_trace, config):
-        runner = ENGINES.create("vector", tiny_trace, config)
-        assert isinstance(runner, VectorSimulator)
-
-    def test_vector_falls_back_under_observation(self, tiny_trace,
-                                                 config):
-        runner = ENGINES.create("vector", tiny_trace, config,
-                                obs=Recorder())
-        assert isinstance(runner, CoreSimulator)
-
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("mode", list(RecycleMode))
     def test_engines_bit_identical(self, tiny_trace, mode):
         config = CORES["small"].with_mode(mode)
         stats = [simulate(tiny_trace, replace(config, engine=e)).stats
-                 for e in ("reference", "fast", "compiled", "vector")]
-        assert stats[0] == stats[1] == stats[2] == stats[3]
+                 for e in ("reference", "compiled")]
+        assert stats[0] == stats[1]
 
     def test_batched_replay_matches_single_runs(self, tiny_trace):
         items = [(tiny_trace, replace(CORES[core].with_mode(mode),
-                                      engine="vector"))
+                                      engine="compiled"))
                  for core in ("small", "big")
                  for mode in RecycleMode]
         batched = simulate_batch(items)
         for (trace, cfg), result in zip(items, batched):
-            assert result.stats == simulate(trace, cfg).stats
+            assert result.stats == simulate(
+                trace, replace(cfg, engine="reference")).stats
 
     def test_observed_run_matches_unobserved(self, tiny_trace, config):
         plain = simulate(tiny_trace, replace(config, engine="compiled"))

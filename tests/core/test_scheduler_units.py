@@ -123,7 +123,6 @@ class TestReadyQueues:
         queues.advance_to(3)
         assert queues.pending(OpClass.ALU) == [uop]
         assert queues._queues[uop.cls_idx].count(uop) == 1
-        assert queues.live_total == 1
 
     def test_duplicate_wake_of_live_uop_not_requeued(self):
         queues = ReadyQueues()
@@ -132,7 +131,6 @@ class TestReadyQueues:
         queues.schedule_wake(uop, 1)
         queues.advance_to(1)
         assert queues.pending(OpClass.ALU) == [uop]
-        assert queues.live_total == 1
 
     def test_compaction_preserves_order_and_liveness(self):
         # push enough tombstones to trip the amortised compaction and
@@ -146,7 +144,6 @@ class TestReadyQueues:
             queues.remove(uop)
         lane = queues.lane(uops[0].cls_idx)    # triggers _compact
         assert lane == uops[10:]
-        assert queues.live_total == 2
         # a removed-then-rewoken uop re-enters in age order, once
         queues.schedule_wake(uops[3], 2)
         queues.advance_to(2)

@@ -1,6 +1,7 @@
-"""Fuzz leg: the predictor against all three simulation engines.
+"""Fuzz leg: the predictor against both simulation engines.
 
-Seeded random programs run through every registered engine backend;
+Seeded random programs run through every registered engine backend
+(``reference`` and ``compiled``);
 the engines must agree exactly (that is the repo's backend-equivalence
 contract), and the analytic predictor is then cross-checked against
 that single agreed ground truth:

@@ -75,6 +75,17 @@ class TestSimulate:
         assert err.value.status == 400
 
 
+    @pytest.mark.parametrize("engine", ["fast", "vector"])
+    def test_removed_engine_is_400(self, client, engine):
+        with pytest.raises(ServeError) as err:
+            client.simulate(suite="ml", bench="pool0", scale=3,
+                            core="small", mode="baseline", engine=engine)
+        assert (err.value.status, err.value.code) == \
+            (400, "unknown-engine")
+        assert "'reference'" in str(err.value)
+        assert "'compiled'" in str(err.value)
+
+
 class TestSweep:
     def test_grid_with_speedups(self, client):
         reply = client.sweep(suite="ml", bench="pool0", scale=3,
@@ -85,14 +96,14 @@ class TestSweep:
             [("small", "baseline"), ("small", "redsoc")]
         assert "speedup" in jobs[1]
 
-    def test_vector_sweep_rides_batch_lanes(self, client):
-        # a vector-pinned sweep goes to ONE worker as batched lanes;
+    def test_compiled_sweep_rides_batch_lanes(self, client):
+        # a compiled-pinned sweep goes to ONE worker as batched lanes;
         # the reply shape and cycle counts must match the fanned-out
         # path exactly (engines and batching are performance choices)
         reply = client.sweep(suite="ml", bench="pool0", scale=3,
                              cores=["small"],
                              modes=["baseline", "redsoc"],
-                             engine="vector")
+                             engine="compiled")
         jobs = reply["result"]["jobs"]
         assert [(j["core"], j["mode"]) for j in jobs] == \
             [("small", "baseline"), ("small", "redsoc")]

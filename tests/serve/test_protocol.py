@@ -209,15 +209,16 @@ class TestEngine:
             exc = err(kind, body)
             assert (exc.status, exc.code) == (400, "unknown-engine")
             # the 400 must enumerate every registered backend so a
-            # client can self-correct — vector included
-            for name in ("reference", "fast", "compiled", "vector"):
+            # client can self-correct
+            for name in ("reference", "compiled"):
                 assert name in exc.message
 
-    def test_vector_engine_accepted(self):
-        spec = parse_request("simulate",
-                             dict(self.NAMED, engine="vector"))
-        [payload] = spec.worker_payloads()
-        assert payload["engine"] == "vector"
+    @pytest.mark.parametrize("name", ["fast", "vector"])
+    def test_removed_engines_are_a_400(self, name):
+        exc = err("simulate", dict(self.NAMED, engine=name))
+        assert (exc.status, exc.code) == (400, "unknown-engine")
+        assert "'reference'" in exc.message
+        assert "'compiled'" in exc.message
 
     def test_engine_changes_fingerprint_only_when_pinned(self):
         base = parse_request("simulate", dict(self.NAMED))

@@ -141,6 +141,14 @@ def test_bad_subcommand_is_usage_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_fuzz_rejects_removed_engines(tmp_path):
+    proc = _verify(["fuzz", "--budget", "1", "--engines", "reference",
+                    "vector"], tmp_path)
+    assert proc.returncode == 2
+    assert "invalid choice: 'vector'" in proc.stderr
+    assert "'reference'" in proc.stderr and "'compiled'" in proc.stderr
+
+
 def test_fuzz_with_campaign_cache(tmp_path):
     proc = _verify(["fuzz", "--budget", "5", "--seed", "2",
                     "--cache-dir", ".cache", "--quiet"], tmp_path)
