@@ -22,8 +22,12 @@ committed number carries its spread.  A throwaway warm-up run precedes
 timing so allocator and bytecode-cache effects land outside the window.
 
 Results go to ``BENCH_core.json`` (schema 3) with one row per
-``(job, engine)`` and one aggregate per engine.  ``--check`` gates
-against a committed reference (``benchmarks/core_reference.json``):
+``(job, engine)``, one aggregate per engine, and the host's CPU count
+and Python version.  ``--update-reference`` refuses (exit 2, reference
+untouched) when any engine's cold or warm quanta spread — IQR over
+median of the per-repeat totals — exceeds :data:`MAX_SPREAD`: a number
+that noisy is not worth committing.  ``--check`` gates against a
+committed reference (``benchmarks/core_reference.json``):
 
 * per-engine aggregate cold and warm cost must stay within
   ``--tolerance`` (default 10%) of the reference **in
@@ -50,6 +54,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import sys
 import time
@@ -71,6 +77,10 @@ DEFAULT_OUTPUT = Path("BENCH_core.json")
 DEFAULT_REPEATS = 3
 DEFAULT_TOLERANCE = 0.10
 SCHEMA = 3
+
+#: largest IQR / median of an engine's per-repeat quanta totals that
+#: ``--update-reference`` accepts
+MAX_SPREAD = 0.15
 
 #: iteration count of the machine-speed calibration probe; sized so one
 #: pass takes ~25 ms on a 2020s-era core — cheap enough to run before
@@ -222,12 +232,29 @@ def run_bench(jobs, repeats: int, engines, *, quiet: bool = False) -> dict:
                   f"IQR {agg['warm_quanta_iqr']:,.1f}")
     return {
         "schema": SCHEMA,
+        # the machine facts a committed timing depends on
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "repeats": repeats,
         "calibration_iters": _CALIBRATION_ITERS,
         "engines": list(engines),
         "jobs": rows,
         "aggregates": aggregates,
     }
+
+
+def spread_failures(payload: dict) -> list:
+    """Engines whose cold or warm quanta spread exceeds MAX_SPREAD."""
+    failures = []
+    for engine, agg in payload["aggregates"].items():
+        for metric in ("cold_quanta", "warm_quanta"):
+            median = agg[f"{metric}_median"]
+            iqr = agg[f"{metric}_iqr"]
+            if iqr > MAX_SPREAD * median:
+                failures.append(
+                    f"{engine}: {metric} IQR/median "
+                    f"{iqr / median:.3f} > {MAX_SPREAD}")
+    return failures
 
 
 def _row_key(row):
@@ -363,6 +390,13 @@ def main(argv=None):
     print(f"wrote {args.output}")
 
     if args.update_reference:
+        failures = spread_failures(payload)
+        if failures:
+            print(f"error: spread too wide to commit; {args.reference} "
+                  f"left unchanged:", file=sys.stderr)
+            for failure in failures:
+                print(f"  - {failure}", file=sys.stderr)
+            return 2
         if args.reference.is_file():
             with open(args.reference, "r", encoding="utf-8") as fh:
                 floors = json.load(fh).get("floors")

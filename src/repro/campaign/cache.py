@@ -8,7 +8,9 @@ stable SHA-256 key over three components:
    workload or scale change produces a different key;
 2. the **config fingerprint** — the canonicalised
    :class:`~repro.core.config.CoreConfig` including mode, scheduler
-   flavour and every ablation knob;
+   flavour and every ablation knob, but *not* the engine: engines are
+   cycle-identical by contract, so one cached result serves every
+   engine (``campaign run --force`` makes each engine really run);
 3. the **model version** — an explicit salt plus a digest of the
    timing-model source tree, so *any* simulator change invalidates the
    whole cache cleanly instead of serving stale cycle counts.
@@ -104,8 +106,11 @@ def _canonical(value: Any) -> Any:
 
 
 def config_fingerprint(config: CoreConfig) -> str:
-    """Stable digest of a full core parameterisation (mode included)."""
-    blob = json.dumps(_canonical(config), sort_keys=True)
+    """Stable digest of a core's semantics: every field, mode included,
+    except ``engine`` — a performance choice, never a semantics one."""
+    canonical = _canonical(config)
+    del canonical["engine"]
+    blob = json.dumps(canonical, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -142,17 +147,15 @@ def result_key_from_fingerprint(fingerprint: str, config: CoreConfig, *,
                                 salt: Optional[str] = None) -> str:
     """Cache key from a pre-computed trace fingerprint.
 
-    The engine identifier is folded in *explicitly* (it is also part of
-    the config fingerprint): switching ``engine=`` must never serve a
-    stale cached result, and this line is the one the invalidation test
-    pins.  Engine *source* changes are covered by :func:`model_version`,
-    which hashes every file under ``core/`` and ``pipeline/``.
+    Keys carry semantics only: the engine is left out, so a result
+    cached by one engine answers every other.  Engine *source* changes
+    are still covered by :func:`model_version`, which hashes every file
+    under ``core/`` and ``pipeline/``.
     """
     sha = hashlib.sha256()
     sha.update(model_version(salt).encode())
     sha.update(fingerprint.encode())
     sha.update(config_fingerprint(config).encode())
-    sha.update(f"engine:{config.engine}".encode())
     return sha.hexdigest()[:32]
 
 
@@ -170,6 +173,14 @@ def trace_index_key(suite: str, bench: str,
     fingerprint, namespaced by the trace-generation source version."""
     blob = f"{trace_version(salt)}|{suite}|{bench}|{scale!r}"
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
+
+
+def inline_trace_index_key(program: Dict[str, Any]) -> str:
+    """Index key of an inline (serialised) program, shared by serve's
+    simulate and estimate paths."""
+    digest = hashlib.sha256(json.dumps(
+        program, sort_keys=True).encode()).hexdigest()
+    return trace_index_key("serve-inline", digest)
 
 
 def default_cache_dir() -> Path:
@@ -268,27 +279,29 @@ class ResultCache:
         self.hits += 1
         return payload
 
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Atomically persist *payload* under *key*.
-
-        Write-to-tempfile + ``os.replace`` + an ``fsync`` before the
-        rename: concurrent readers either see the old entry or the
-        complete new one, never a torn write — even across a crash.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
+    @staticmethod
+    def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
+        """Write-to-tempfile + an ``fsync`` + ``os.replace``: concurrent
+        readers either see the old file or the complete new one, never
+        a torn write — even across a crash."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True)
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.path(key))
+            os.replace(tmp, path)
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
+
+    def put(self, key: str, payload: Dict[str, Any]) -> None:
+        """Atomically persist *payload* under *key*."""
+        self._write_atomic(self.path(key), payload)
 
     # -- trace-fingerprint index -------------------------------------
     #
@@ -312,21 +325,9 @@ class ResultCache:
         return fingerprint
 
     def put_trace_fingerprint(self, tkey: str, fingerprint: str) -> None:
-        index_dir = self.root / "traces"
-        index_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(index_dir), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"fingerprint": fingerprint}, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.trace_index_path(tkey))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # not via put(): index writes are not result writes
+        self._write_atomic(self.trace_index_path(tkey),
+                           {"fingerprint": fingerprint})
 
     def clear(self) -> int:
         """Delete every cache entry; return how many results were

@@ -110,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="pin every job to one simulation backend "
                           "(default: the config default; all engines "
-                          "are cycle-identical)")
+                          "are cycle-identical, so cached results serve "
+                          "every engine: add --force to run this one)")
     run.add_argument("--smoke", action="store_true",
                      help="one small benchmark per suite on the small "
                           "core (the CI smoke set)")

@@ -12,9 +12,10 @@ with its ``(suite, bench, core)`` baseline to compute the paper's
 speedup metric.
 
 Every job also carries telemetry: which worker process ran it, and a
-span breakdown (``cache_probe`` / ``trace_gen`` / ``simulate``) of
-where its wall time went — written into ``BENCH_campaign.json`` so a
-slow campaign can be diagnosed from the artefact alone.  Passing
+span breakdown (``cache_probe`` / ``trace_gen`` / ``simulate`` /
+``cache_put``) of where its wall time went — written into
+``BENCH_campaign.json`` so a slow campaign can be diagnosed from the
+artefact alone.  Passing
 ``profile_dir`` additionally wraps each simulated job in
 :mod:`cProfile` and drops one ``.pstats`` file per job.
 """
@@ -26,10 +27,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
-from repro.core import RecycleMode
+from repro.core import CoreConfig, RecycleMode
+from repro.core.cpu import SimResult, simulate
+from repro.pipeline.trace import Trace
 
 from .cache import (
     ResultCache,
@@ -40,8 +45,6 @@ from .cache import (
     trace_fingerprint,
     trace_index_key,
 )
-from repro.core.cpu import simulate
-
 from .jobs import CampaignJob, job_config, job_trace
 
 
@@ -160,9 +163,84 @@ class CampaignResult:
         }
 
 
-def _record_for(job: CampaignJob, key: str, result, cache_hit: bool,
-                spans: Dict[str, float], start: float) -> JobRecord:
-    """Assemble one :class:`JobRecord` from an executed job's pieces."""
+def simulate_cached(cache: ResultCache, tkey: str,
+                    make_trace: Callable[[], Trace], config: CoreConfig,
+                    *, force: bool = False,
+                    profile_to: Optional[Path] = None
+                    ) -> Tuple[str, SimResult, bool, Dict[str, float]]:
+    """One job's cache-through, shared by campaign jobs and serve's
+    inline programs; returns ``(key, result, cache_hit, spans)``.
+
+    Fast path: the trace-fingerprint index entry *tkey* resolves the
+    result key without making the trace, so a fully-warm job is three
+    small file reads.  Slow path: ``make_trace()``, record its
+    fingerprint in the index, probe again, and simulate only on a true
+    miss.  *force* skips both probes (the result is still rewritten).
+
+    Each stage is timed into *spans*: ``cache_probe`` (both probes),
+    ``trace_gen`` (trace, fingerprint, index write), ``simulate`` (the
+    run alone) and ``cache_put`` (the result write).  With
+    *profile_to* set, the run is wrapped in :mod:`cProfile` and its
+    stats dumped to that path.
+
+    It reaches ``trace_fingerprint``, ``simulate`` and the cache
+    methods through this module's globals, which ``perfbench/layers.py``
+    wraps to time a traced campaign; that is why it does not reuse
+    :func:`repro.campaign.cache.cached_simulate`, whose ``simulate``
+    lives in the cache module.
+    """
+    spans: Dict[str, float] = {}
+    start = time.perf_counter()
+    if not force:
+        fingerprint = cache.get_trace_fingerprint(tkey)
+        if fingerprint is not None:
+            key = result_key_from_fingerprint(fingerprint, config)
+            payload = cache.get(key)
+            if payload is not None:
+                spans["cache_probe"] = time.perf_counter() - start
+                return key, payload_to_result(payload, config), True, spans
+    spans["cache_probe"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    trace = make_trace()
+    fingerprint = trace_fingerprint(trace)
+    cache.put_trace_fingerprint(tkey, fingerprint)
+    spans["trace_gen"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    key = result_key_from_fingerprint(fingerprint, config)
+    payload = None if force else cache.get(key)
+    spans["cache_probe"] += time.perf_counter() - start
+    if payload is not None:
+        return key, payload_to_result(payload, config), True, spans
+
+    start = time.perf_counter()
+    if profile_to is None:
+        result = simulate(trace, config)
+    else:
+        with cProfile.Profile() as profiler:
+            result = simulate(trace, config)
+        profile_to.parent.mkdir(parents=True, exist_ok=True)
+        profiler.dump_stats(profile_to)
+    spans["simulate"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    cache.put(key, result_to_payload(result))
+    spans["cache_put"] = time.perf_counter() - start
+    return key, result, False, spans
+
+
+def _execute_job(job: CampaignJob, cache_dir: str, force: bool,
+                 profile_dir: Optional[str] = None) -> JobRecord:
+    """Run one job against the shared cache (worker entry point)."""
+    start = time.perf_counter()
+    profile_to = (Path(profile_dir) / f"{job_slug(job.label)}.pstats"
+                  if profile_dir is not None else None)
+    key, result, cache_hit, spans = simulate_cached(
+        ResultCache(Path(cache_dir)),
+        trace_index_key(job.suite, job.bench, job.scale),
+        lambda: job_trace(job), job_config(job), force=force,
+        profile_to=profile_to)
     sim_seconds = spans.get("simulate", 0.0)
     return JobRecord(
         suite=job.suite, bench=job.bench, core=job.core, mode=job.mode,
@@ -177,130 +255,31 @@ def _record_for(job: CampaignJob, key: str, result, cache_hit: bool,
                             if sim_seconds > 0 else None))
 
 
-def _simulate_one(job: CampaignJob, trace, config,
-                  profile_dir: Optional[str]):
-    """Simulate one cache-missed job, honouring the profile hook."""
-    if profile_dir is not None:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = simulate(trace, config)
-        profiler.disable()
-        out_dir = Path(profile_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        profiler.dump_stats(out_dir / f"{job_slug(job.label)}.pstats")
-        return result
-    return simulate(trace, config)
-
-
-def _execute_job(job: CampaignJob, cache_dir: str, force: bool,
-                 profile_dir: Optional[str] = None) -> JobRecord:
-    """Run one job against the shared cache (worker entry point)."""
-    return _execute_jobs([job], cache_dir, force, profile_dir)[0]
-
-
 def _execute_jobs(jobs: Sequence[CampaignJob], cache_dir: str,
                   force: bool,
                   profile_dir: Optional[str] = None) -> List[JobRecord]:
-    """Run a chunk of jobs against the shared cache (worker entry).
+    """Run a chunk of jobs one after another (worker entry point)."""
+    return [_execute_job(job, cache_dir, force, profile_dir)
+            for job in jobs]
 
-    Fast path per job: the trace-fingerprint index resolves the result
-    key without regenerating the trace, so a fully-warm job is three
-    small file reads.  Slow path: generate the trace, record its
-    fingerprint in the index, probe again, and simulate only on a true
-    miss.
 
-    Cache misses whose engine registers a **batch** entry point
-    (``ENGINES.batch``, e.g. ``compiled``) are replayed together
-    through one ``simulate_batch`` call — lanes of one trace share its
-    lowering and memoized columns — instead of one ``simulate`` call
-    each; per-lane replay times keep each record's ``simulate`` span
-    meaningful (any shared batch overhead is split evenly across the
-    lanes).
+def _trace_chunks(jobs: Sequence[CampaignJob],
+                  workers: int) -> List[List[CampaignJob]]:
+    """Split *jobs* into runs of consecutive jobs sharing a trace
+    ``(suite, bench, scale)``, cutting every run into pieces of at most
+    ``len(jobs) // workers`` jobs (at least one).
 
-    Each stage is timed into the record's ``spans`` dict; with
-    *profile_dir* set, a cache miss runs unbatched under
-    :mod:`cProfile` and dumps ``<label>.pstats`` there.
+    A worker then makes each trace once for the piece of its mode grid
+    it holds, and there are always at least ``min(len(jobs), workers)``
+    chunks, so a campaign with fewer traces than workers still keeps
+    every worker busy.
     """
-    from repro.core.engine import ENGINES
-
-    cache = ResultCache(Path(cache_dir))
-    records: List[Optional[JobRecord]] = [None] * len(jobs)
-    #: cache misses awaiting simulation: (index, job, config, trace,
-    #: result key, spans, per-job start time)
-    pending: List[tuple] = []
-
-    for idx, job in enumerate(jobs):
-        start = time.perf_counter()
-        spans: Dict[str, float] = {}
-        config = job_config(job)
-        tkey = trace_index_key(job.suite, job.bench, job.scale)
-        result = None
-        cache_hit = False
-        key = ""
-
-        probe_start = time.perf_counter()
-        if not force:
-            fingerprint = cache.get_trace_fingerprint(tkey)
-            if fingerprint is not None:
-                key = result_key_from_fingerprint(fingerprint, config)
-                payload = cache.get(key)
-                if payload is not None:
-                    result = payload_to_result(payload, config)
-                    cache_hit = True
-        spans["cache_probe"] = time.perf_counter() - probe_start
-
-        if result is None:
-            gen_start = time.perf_counter()
-            trace = job_trace(job)
-            fingerprint = trace_fingerprint(trace)
-            spans["trace_gen"] = time.perf_counter() - gen_start
-            cache.put_trace_fingerprint(tkey, fingerprint)
-            key = result_key_from_fingerprint(fingerprint, config)
-            payload = None if force else cache.get(key)
-            if payload is not None:
-                result = payload_to_result(payload, config)
-                cache_hit = True
-            else:
-                pending.append((idx, job, config, trace, key, spans,
-                                start))
-                continue
-        records[idx] = _record_for(job, key, result, cache_hit, spans,
-                                   start)
-
-    # group the misses by engine; batch-capable engines replay their
-    # whole group in one call
-    by_engine: Dict[Optional[str], List[tuple]] = {}
-    for item in pending:
-        by_engine.setdefault(item[2].engine, []).append(item)
-    for engine, items in by_engine.items():
-        batch_fn = None
-        if profile_dir is None and len(items) > 1 \
-                and engine in ENGINES:
-            batch_fn = ENGINES.batch(engine)
-        if batch_fn is not None:
-            lane_times: List[float] = []
-            batch_start = time.perf_counter()
-            results = batch_fn(
-                [(trace, config) for _, _, config, trace, _, _, _
-                 in items],
-                lane_times=lane_times)
-            batch_wall = time.perf_counter() - batch_start
-            shared = max(0.0, batch_wall - sum(lane_times)) / len(items)
-            for (idx, job, config, trace, key, spans, start), result, \
-                    lane_s in zip(items, results, lane_times):
-                spans["simulate"] = lane_s + shared
-                cache.put(key, result_to_payload(result))
-                records[idx] = _record_for(job, key, result, False,
-                                           spans, start)
-        else:
-            for idx, job, config, trace, key, spans, start in items:
-                sim_start = time.perf_counter()
-                result = _simulate_one(job, trace, config, profile_dir)
-                spans["simulate"] = time.perf_counter() - sim_start
-                cache.put(key, result_to_payload(result))
-                records[idx] = _record_for(job, key, result, False,
-                                           spans, start)
-    return records  # type: ignore[return-value]
+    cap = max(1, len(jobs) // workers)
+    chunks: List[List[CampaignJob]] = []
+    for _, run in groupby(jobs, key=lambda j: (j.suite, j.bench, j.scale)):
+        run = list(run)
+        chunks.extend(run[i:i + cap] for i in range(0, len(run), cap))
+    return chunks
 
 
 def _attach_speedups(records: Sequence[JobRecord]) -> None:
@@ -349,40 +328,19 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
         if progress is not None:
             progress(record)
 
-    def _batchable() -> bool:
-        """Any job pinned to an engine with a batch entry point?"""
-        from repro.core.engine import ENGINES
-        engines = {job_config(job).engine for job in jobs}
-        return any(name in ENGINES and ENGINES.batch(name) is not None
-                   for name in engines)
-
     if workers <= 1 or len(jobs) <= 1:
         workers = 1
-        for record in _execute_jobs(list(jobs), str(cache_root), force,
-                                    profile_arg):
-            finish(record)
-    elif profile_arg is None and _batchable():
-        # batch-capable engines want whole chunks per worker so a
-        # trace's mode grid shares one lowering; contiguous slices keep
-        # report order
-        size = -(-len(jobs) // workers)
-        chunks = [list(jobs[i:i + size])
-                  for i in range(0, len(jobs), size)]
+        for job in jobs:
+            finish(_execute_job(job, str(cache_root), force, profile_arg))
+    else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_jobs, chunk,
                                    str(cache_root), force, profile_arg)
-                       for chunk in chunks]
+                       for chunk in _trace_chunks(jobs, workers)]
+            # collect in submission order so reports stay stable
             for future in futures:
                 for record in future.result():
                     finish(record)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_job, job, str(cache_root),
-                                   force, profile_arg)
-                       for job in jobs]
-            # collect in submission order so reports stay stable
-            for future in futures:
-                finish(future.result())
 
     _attach_speedups(records)
     if logger is not None:

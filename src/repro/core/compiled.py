@@ -57,7 +57,6 @@ equivalent in :mod:`repro.core.lower`'s notes and pinned by tests):
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -1104,33 +1103,4 @@ class CompiledSimulator:
         return SimResult(name=trace.name, config=config, stats=stats)
 
 
-def simulate_batch(items, *, lane_times: Optional[list] = None):
-    """Replay K independent ``(trace, config)`` jobs, one after another.
-
-    Returns one :class:`~repro.core.cpu.SimResult` per item, in order.
-    Lanes that share a trace share its lowering and entry columns, and
-    lanes that also share a decode key share the decode columns (both
-    memoized on the lowered trace).  K=1, ragged lane lengths and empty
-    traces are all fine.
-
-    *lane_times*, when given a list, receives one per-lane replay
-    wall-time (seconds) per item — campaign telemetry uses it to keep
-    per-job ``sim_cycles_per_sec`` meaningful under batching.
-    """
-    pairs: List[Tuple[Trace, CoreConfig]] = []
-    for workload, config in items:
-        if not isinstance(workload, Trace):
-            raise TypeError(
-                f"simulate_batch expects pre-generated Traces, got "
-                f"{type(workload)}")
-        pairs.append((workload, config))
-    results = []
-    for trace, config in pairs:
-        start = time.perf_counter()
-        results.append(CompiledSimulator(trace, config).run())
-        if lane_times is not None:
-            lane_times.append(time.perf_counter() - start)
-    return results
-
-
-__all__ = ["CompiledSimulator", "simulate_batch"]
+__all__ = ["CompiledSimulator"]

@@ -1081,10 +1081,5 @@ def _compiled_engine(trace: Trace, config: CoreConfig, *, obs=None):
     return CompiledSimulator(trace, config)
 
 
-def _compiled_batch(items, *, lane_times=None):
-    from .compiled import simulate_batch     # lazy: breaks the cycle
-    return simulate_batch(items, lane_times=lane_times)
-
-
 ENGINES.register("reference", CoreSimulator)
-ENGINES.register("compiled", _compiled_engine, batch=_compiled_batch)
+ENGINES.register("compiled", _compiled_engine)

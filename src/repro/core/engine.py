@@ -13,18 +13,19 @@ The cycle model has one semantics and two implementations:
   has no probe points).
 
 Backends register a factory ``(trace, config, obs=None) -> runner``
-where ``runner.run()`` returns a :class:`~repro.core.cpu.SimResult`.
-A backend may additionally register a *batch* entry point
-``batch(items) -> [SimResult]`` taking ``(trace, config)`` pairs;
-callers with many independent jobs probe :meth:`EngineRegistry.batch`
-and hand them over in one call (campaign runner, fuzz oracle, serve
-sweeps).  Every engine must be *cycle-identical*: the
-backend-equivalence CI matrix runs ``check_regression.py
---exact-cycles`` once per engine and fails on any diff, and
-:mod:`repro.verify` fuzzes engines against each other nightly.  An
-engine is a performance choice, never a semantics choice — which is
-why ``CoreConfig.engine`` is a plain string any config path (campaign,
-serve, verify CLI) can thread through.
+where ``runner.run()`` returns a :class:`~repro.core.cpu.SimResult`;
+every caller makes one such run per job.  The built-in engines
+register no *batch* entry point: :meth:`EngineRegistry.batch` answers
+``None`` for both and stays only because the repository benchmark's
+traced campaign (``perfbench/layers.py``) still wraps it.
+
+Every engine must be *cycle-identical*: the backend-equivalence CI
+matrix runs ``check_regression.py --exact-cycles`` once per engine
+and fails on any diff, and :mod:`repro.verify` fuzzes engines against
+each other nightly.  An engine is a performance choice, never a
+semantics choice — which is why ``CoreConfig.engine`` is a plain
+string any config path (campaign, serve, verify CLI) can thread
+through.
 """
 
 from __future__ import annotations
@@ -75,16 +76,15 @@ class EngineRegistry:
             raise self._unknown(name)
         return factory(trace, config, obs=obs)
 
+    # no built-in engine registers a batch entry and nothing in the
+    # package calls ``batch``; it is kept for perfbench's timer hook
     def batch(self, name: str) -> Optional[BatchFactory]:
         """The named backend's batch entry point, or ``None``.
 
         Returns a callable ``batch(items) -> [SimResult]`` over
         ``(trace, config)`` pairs when the backend supports batched
         replay; ``None`` means callers should loop single runs.
-        Batch callables accept an optional ``lane_times`` keyword (a
-        list receiving one per-lane replay wall-time per item) so
-        callers can keep per-job telemetry meaningful.  Unknown names
-        raise, same as :meth:`create`.
+        Unknown names raise, same as :meth:`create`.
         """
         if name not in self._factories:
             raise self._unknown(name)

@@ -1,7 +1,6 @@
 """Conventional OOO pipeline substrate: trace, branch, uops, resources."""
 
 from .branch import BranchStats, GsharePredictor
-from .codegen import compile_program, generate_trace_compiled
 from .resources import ExecutionResources, FUPool, FUStats
 from .trace import Trace, TraceEntry, generate_trace
 from .uop import Uop, UopState
@@ -9,5 +8,5 @@ from .uop import Uop, UopState
 __all__ = [
     "BranchStats", "ExecutionResources", "FUPool", "FUStats",
     "GsharePredictor", "Trace", "TraceEntry", "Uop", "UopState",
-    "compile_program", "generate_trace", "generate_trace_compiled",
+    "generate_trace",
 ]

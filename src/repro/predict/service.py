@@ -33,6 +33,7 @@ from repro.campaign.cache import (
     PAYLOAD_SCHEMA,
     _canonical,
     _source_digest,
+    inline_trace_index_key,
     model_version,
     trace_fingerprint,
     trace_index_key,
@@ -115,9 +116,7 @@ def cached_features(workload: Dict[str, Any], config: CoreConfig,
         tkey = trace_index_key(workload["suite"], workload["bench"],
                                workload.get("scale"))
     else:
-        digest = hashlib.sha256(json.dumps(
-            workload["program"], sort_keys=True).encode()).hexdigest()
-        tkey = trace_index_key("serve-inline", digest)
+        tkey = inline_trace_index_key(workload["program"])
 
     fingerprint = cache.get_trace_fingerprint(tkey)
     if fingerprint is not None:

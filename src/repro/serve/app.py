@@ -207,19 +207,6 @@ class ServeApp:
                 self._inflight -= 1
                 self.metrics.gauge("serve.inflight").set(self._inflight)
 
-    @staticmethod
-    def _batch_engine(payloads: List[Dict[str, Any]]) -> bool:
-        """True when a sweep can ride one worker's batched replay —
-        every payload is a named workload pinned to an engine with a
-        registered batch entry point (e.g. ``compiled``)."""
-        from repro.core.engine import ENGINES
-        engine = payloads[0].get("engine")
-        if not engine or engine not in ENGINES \
-                or ENGINES.batch(engine) is None:
-            return False
-        return all(p.get("suite") and p.get("engine") == engine
-                   for p in payloads)
-
     async def _execute(self, ticket: Ticket) -> Dict[str, Any]:
         spec = ticket.spec
         deadline_s = ticket.remaining_s
@@ -237,14 +224,6 @@ class ServeApp:
             results = [await self.pool.run(
                 kind, payloads[0], deadline_s=deadline_s,
                 trace_parent=trace_parent)]
-        elif self._batch_engine(payloads):
-            # the requested engine replays batched lanes in one call:
-            # ship the whole sweep grid to a single worker so every
-            # lane shares the trace lowering and the memoized columns
-            batched = await self.pool.run(
-                "simulate_batch", {"jobs": payloads},
-                deadline_s=deadline_s, trace_parent=trace_parent)
-            results = list(batched["jobs"])
         else:
             # a sweep fans out across the pool as one batch
             results = list(await asyncio.gather(*[

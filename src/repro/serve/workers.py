@@ -17,10 +17,10 @@ into availability instead of an error page:
 
 The worker entry point (:func:`execute_payload`) is a module-level
 function with JSON-safe arguments, so it pickles cheaply.  Named
-workloads run through :func:`repro.campaign.runner._execute_job` —
-the exact cache fast path the batch campaign uses — and inline
-programs read/write the same content-addressed cache, so the daemon
-and overnight campaigns share one warm cache directory.
+workloads run through :func:`repro.campaign.runner._execute_job` and
+inline programs through the same
+:func:`~repro.campaign.runner.simulate_cached` cache-through, so the
+daemon and overnight campaigns share one warm cache directory.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class WorkerCrash(Exception):
 #: execution-order phase → span name for worker-side span synthesis
 _PHASE_SPANS = (("cache_probe", "cache.probe"),
                 ("trace_gen", "trace.gen"),
-                ("simulate", "engine.simulate"))
+                ("simulate", "engine.simulate"),
+                ("cache_put", "cache.put"))
 
 
 def _synthesize_trace_spans(trace_ctx: Dict[str, Any],
@@ -112,8 +113,6 @@ def execute_payload(kind: str, payload: Dict[str, Any],
     trace_ctx = payload.pop("_trace", None)
     if kind == "simulate":
         result = _execute_simulate(payload, cache_dir)
-    elif kind == "simulate_batch":
-        result = _execute_simulate_batch(payload, cache_dir)
     elif kind == "estimate":
         result = _execute_estimate(payload, cache_dir)
     elif kind == "verify":
@@ -147,47 +146,13 @@ def _execute_simulate(payload: Dict[str, Any],
     return _execute_inline(payload, cache_dir)
 
 
-def _execute_simulate_batch(payload: Dict[str, Any],
-                            cache_dir: str) -> Dict[str, Any]:
-    """One worker call replaying a whole sweep grid as batch lanes.
-
-    Every job probes the shared cache exactly like the single-job
-    path; the cache misses then go through the engine's registered
-    ``simulate_batch`` (lanes of one trace share its lowering) via
-    :func:`repro.campaign.runner._execute_jobs`.
-    """
-    from repro.campaign.jobs import CampaignJob
-    from repro.campaign.runner import _execute_jobs
-
-    jobs = [CampaignJob(suite=p["suite"], bench=p["bench"],
-                        core=p["core"], mode=p["mode"],
-                        scale=p.get("scale"), engine=p.get("engine"))
-            for p in payload["jobs"]]
-    records = _execute_jobs(jobs, cache_dir, False)
-    results = []
-    for p, record in zip(payload["jobs"], records):
-        result = asdict(record)
-        result["workload"] = f"{p['suite']}/{p['bench']}"
-        results.append(result)
-    return {"jobs": results, "worker": f"pid-{os.getpid()}"}
-
-
 def _execute_inline(payload: Dict[str, Any],
                     cache_dir: str) -> Dict[str, Any]:
-    import hashlib
-    import json
     from dataclasses import replace
 
-    from repro.campaign.cache import (
-        ResultCache,
-        payload_to_result,
-        result_key_from_fingerprint,
-        result_to_payload,
-        trace_fingerprint,
-        trace_index_key,
-    )
+    from repro.campaign.cache import ResultCache, inline_trace_index_key
+    from repro.campaign.runner import simulate_cached
     from repro.core import CORES, RecycleMode
-    from repro.core.cpu import simulate
     from repro.isa.serialize import program_from_dict
     from repro.pipeline.trace import generate_trace
 
@@ -196,49 +161,15 @@ def _execute_inline(payload: Dict[str, Any],
         RecycleMode(payload["mode"]))
     if payload.get("engine"):
         config = replace(config, engine=payload["engine"])
-    cache = ResultCache(Path(cache_dir))
-
     # the program→trace mapping is deterministic, so inline programs
     # get the same trace-fingerprint-index fast path as named jobs: a
     # fully-warm request is three small file reads, no trace generation
-    digest = hashlib.sha256(json.dumps(
-        payload["program"], sort_keys=True).encode()).hexdigest()
-    tkey = trace_index_key("serve-inline", digest)
-    result = None
-    cache_hit = False
+    key, result, cache_hit, spans = simulate_cached(
+        ResultCache(Path(cache_dir)),
+        inline_trace_index_key(payload["program"]),
+        lambda: generate_trace(program_from_dict(payload["program"])),
+        config)
     name = payload["program"].get("name", "inline")
-
-    spans: Dict[str, float] = {}
-    probe_start = time.perf_counter()
-    fingerprint = cache.get_trace_fingerprint(tkey)
-    if fingerprint is not None:
-        key = result_key_from_fingerprint(fingerprint, config)
-        cached = cache.get(key)
-        if cached is not None:
-            result = payload_to_result(cached, config)
-            cache_hit = True
-    spans["cache_probe"] = time.perf_counter() - probe_start
-    if result is None:
-        gen_start = time.perf_counter()
-        program = program_from_dict(payload["program"])
-        name = program.name
-        trace = generate_trace(program)
-        fingerprint = trace_fingerprint(trace)
-        cache.put_trace_fingerprint(tkey, fingerprint)
-        spans["trace_gen"] = time.perf_counter() - gen_start
-        probe_start = time.perf_counter()
-        key = result_key_from_fingerprint(fingerprint, config)
-        cached = cache.get(key)
-        spans["cache_probe"] += time.perf_counter() - probe_start
-        if cached is not None:
-            result = payload_to_result(cached, config)
-            cache_hit = True
-        else:
-            sim_start = time.perf_counter()
-            result = simulate(trace, config)
-            cache.put(key, result_to_payload(result))
-            spans["simulate"] = time.perf_counter() - sim_start
-
     return {
         "workload": name,
         "suite": "inline", "bench": name,

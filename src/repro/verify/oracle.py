@@ -28,10 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core.audit import audit_run
 from repro.core.config import CoreConfig, RecycleMode, SMALL
 from repro.core.cpu import simulate
-from repro.core.engine import ENGINES
 from repro.isa.interpreter import run_program
 from repro.isa.program import Program
-from repro.pipeline.codegen import generate_trace_compiled
 from repro.pipeline.trace import Trace, generate_trace
 
 from .metamorphic import check_timing_relations
@@ -107,23 +105,6 @@ def _diff_mem(golden: Dict, other: Dict) -> str:
 SimulateFn = Callable[[Trace, CoreConfig], Any]
 
 
-def _diff_traces(base: Trace, other: Trace) -> str:
-    """Empty string when identical, else the first entry-level diff."""
-    if len(base.entries) != len(other.entries):
-        return (f"length: interpreted={len(base.entries)} "
-                f"compiled={len(other.entries)}")
-    for i, (a, b) in enumerate(zip(base.entries, other.entries)):
-        ta = (a.instr, a.pc, a.next_pc, bool(a.taken), a.op_width,
-              a.mem_addr, a.mem_size, bool(a.is_store))
-        tb = (b.instr, b.pc, b.next_pc, bool(b.taken), b.op_width,
-              b.mem_addr, b.mem_size, bool(b.is_store))
-        if ta != tb:
-            return f"entry #{i}: interpreted={ta} compiled={tb}"
-    if base.arch_state() != other.arch_state():
-        return "final architectural state differs"
-    return ""
-
-
 def _diff_stats(base, other) -> str:
     """First few differing SimStats fields between two engines."""
     diffs = []
@@ -151,8 +132,10 @@ def check_program(program: Program, *,
     and/or ``compiled``): each one re-simulates every mode and its
     **full SimStats record** must match the audited run bit for bit
     (engines are performance choices, never semantics choices).  Any
-    drift flags an ``engine.stats`` divergence.  Naming ``compiled``
-    also diffs the codegen trace generator against the interpreter.
+    drift flags an ``engine.stats`` divergence.  These legs always
+    call :func:`repro.core.cpu.simulate`, never *simulate_fn*: result
+    cache keys leave the engine out, so a cached leg would be answered
+    by whichever engine filled the entry and check nothing.
     """
     modes = list(modes) if modes is not None else list(RecycleMode)
     verdict = ProgramVerdict(name=program.name)
@@ -182,14 +165,6 @@ def check_program(program: Program, *,
         flag(Divergence("arch.halt", None,
                         "golden model hit the instruction cap"))
 
-    # 1b. compiled trace generator vs the interpreted one: the codegen
-    # path must reproduce the exact same dynamic trace, entry by entry
-    if engines and "compiled" in engines:
-        compiled_trace = generate_trace_compiled(program)
-        mismatch = _diff_traces(trace, compiled_trace)
-        if mismatch:
-            flag(Divergence("engine.trace", None, mismatch))
-
     # 2. every timing mode: audit invariants + commit-count equality
     audits = {}
     for mode in modes:
@@ -206,21 +181,11 @@ def check_program(program: Program, *,
                             f"uop#{violation.seq}: {violation.detail}"))
 
     # 2b. backend equivalence: each requested engine must reproduce the
-    # audited run's SimStats exactly, mode by mode.  An engine with a
-    # registered batch entry point replays all its mode legs in one
-    # batch call — itself part of the contract under test.
+    # audited run's SimStats exactly, mode by mode
     for engine in engines or ():
-        configs = [replace(config.with_mode(mode), engine=engine)
-                   for mode in modes]
-        batch_fn = None
-        if simulate_fn is simulate and len(modes) > 1 \
-                and engine in ENGINES:
-            batch_fn = ENGINES.batch(engine)
-        if batch_fn is not None:
-            runs = batch_fn([(trace, cfg) for cfg in configs])
-        else:
-            runs = [simulate_fn(trace, cfg) for cfg in configs]
-        for mode, run in zip(modes, runs):
+        for mode in modes:
+            run = simulate(trace,
+                           replace(config.with_mode(mode), engine=engine))
             verdict.cycles[f"{mode.value}:{engine}"] = run.stats.cycles
             if run.stats != audits[mode].result.stats:
                 flag(Divergence(

@@ -9,7 +9,7 @@ from repro.campaign.jobs import (
     job_config,
     smoke_jobs,
 )
-from repro.campaign.runner import run_campaign
+from repro.campaign.runner import _trace_chunks, run_campaign
 from repro.core import CORES, RecycleMode
 from repro.workloads.suites import SUITES
 
@@ -109,3 +109,32 @@ class TestRunCampaign:
                                     "hit_rate": 0.0}
         assert {r["suite"] for r in payload["results"]} == {"ml"}
         assert "model_version" in payload
+
+
+class TestTraceChunks:
+    """How run_campaign shards jobs over a process pool."""
+
+    def test_one_chunk_per_trace_when_traces_cover_workers(self):
+        jobs = smoke_jobs()
+        chunks = _trace_chunks(jobs, workers=3)
+        assert [len(c) for c in chunks] == [3, 3, 3]
+        assert all(len({(j.suite, j.bench) for j in c}) == 1
+                   for c in chunks)
+
+    def test_one_trace_is_split_over_every_worker(self):
+        jobs = enumerate_jobs(suites=["ml"], benchmarks=["pool0"],
+                              cores=["small", "medium", "big"])
+        assert len(jobs) == 9
+        chunks = _trace_chunks(jobs, workers=3)
+        assert [len(c) for c in chunks] == [3, 3, 3]
+
+    def test_at_least_one_chunk_per_worker(self):
+        for workers in range(2, 8):
+            chunks = _trace_chunks(TINY_JOBS, workers)
+            assert len(chunks) >= min(len(TINY_JOBS), workers)
+
+    def test_order_preserved(self):
+        jobs = smoke_jobs()
+        for workers in (2, 4, 16):
+            flat = [j for c in _trace_chunks(jobs, workers) for j in c]
+            assert flat == jobs

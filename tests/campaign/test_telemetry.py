@@ -20,10 +20,14 @@ class TestJobSpans:
         for record in result.records:
             assert not record.cache_hit
             assert set(record.spans) == {"cache_probe", "trace_gen",
-                                         "simulate"}
+                                         "simulate", "cache_put"}
             assert all(s >= 0.0 for s in record.spans.values())
             assert record.spans["simulate"] <= record.wall_time_s
             assert record.worker.startswith("pid-")
+        # in-process jobs run one after another: each record's wall
+        # time is its own work, so they add up to at most the campaign
+        assert sum(r.wall_time_s for r in result.records) <= \
+            result.wall_time_s
 
     def test_warm_jobs_skip_simulate_span(self, tmp_path):
         cache = tmp_path / "cache"

@@ -1,4 +1,4 @@
-"""Columnar engine (``compiled``): batch lanes, decode memo, edge cases.
+"""Columnar engine (``compiled``): decode memo, edge cases.
 
 The module name is historical: these cases first pinned the NumPy
 ``vector`` engine, whose precompute the ``compiled`` engine absorbed.
@@ -19,7 +19,6 @@ from repro.core.compiled import (
     _DecodeColumns,
     _entry_columns,
     _shared_lut,
-    simulate_batch,
 )
 from repro.core.lower import lower_trace
 from repro.memory.hierarchy import MemoryConfig
@@ -126,6 +125,19 @@ class TestDecodeMemo:
         low = lower_trace(small_trace)
         assert _decode_key(_cfg()) in _entry_columns(low).decode
 
+    def test_mode_grid_shares_one_lowering(self):
+        # one simulate call per job: a trace's mode grid lowers it once
+        # and computes decode once per distinct decode key
+        trace = generate_trace(SUITES["ml"]["pool0"](scale=3))
+        configs = [_cfg(mode=m) for m in RecycleMode]
+        for cfg in configs:
+            assert simulate(trace, cfg).stats == \
+                simulate(trace, _ref(cfg)).stats
+        assert lower_trace(trace) is lower_trace(trace)
+        decode = _entry_columns(lower_trace(trace)).decode
+        assert set(decode) == {_decode_key(cfg) for cfg in configs}
+        assert len(decode) == 2     # REDSOC and MOS share one entry
+
     def test_every_config_field_is_keyed_or_mutated(self):
         names = {f.name for f in fields(CoreConfig)}
         assert names == _KEYED | set(_MUTATIONS), \
@@ -145,75 +157,22 @@ class TestDecodeMemo:
                 assert _decode(trace, mutated) == _decode(trace, base)
 
 
-class TestBatchLanes:
-    def test_k_equals_one(self, small_trace):
-        cfg = _cfg()
-        (result,) = simulate_batch([(small_trace, cfg)])
-        assert result.stats == simulate(small_trace, _ref(cfg)).stats
-
-    def test_empty_items(self):
-        assert simulate_batch([]) == []
-
-    def test_ragged_lane_lengths(self, small_trace, other_trace):
-        # lanes of different trace lengths in one call; results must
-        # match unbatched reference runs lane by lane
-        items = [(small_trace, _cfg()), (other_trace, _cfg()),
-                 (small_trace, _cfg("big"))]
-        results = simulate_batch(items)
-        for (trace, cfg), result in zip(items, results):
-            assert result.stats == simulate(trace, _ref(cfg)).stats
-
-    def test_empty_trace_lane(self, small_trace):
-        items = [(_empty_trace(), _cfg()), (small_trace, _cfg())]
-        empty, real = simulate_batch(items)
-        assert empty.stats.cycles == 0
-        assert real.stats == simulate(small_trace, _ref(_cfg())).stats
-
-    def test_duplicate_trace_lanes(self, small_trace):
-        # the same trace under several configs: one lowering, decode
-        # computed once per distinct decode key
-        items = [(small_trace, _cfg(mode=m)) for m in RecycleMode]
-        results = simulate_batch(items)
-        for (trace, cfg), result in zip(items, results):
-            assert result.stats == simulate(trace, _ref(cfg)).stats
-        decode = _entry_columns(lower_trace(small_trace)).decode
-        assert {_decode_key(cfg) for _, cfg in items} <= set(decode)
-
-    def test_lane_times_telemetry(self, small_trace, other_trace):
-        lane_times = []
-        simulate_batch([(small_trace, _cfg()), (other_trace, _cfg())],
-                       lane_times=lane_times)
-        assert len(lane_times) == 2
-        assert all(t > 0 for t in lane_times)
-
-    def test_rejects_programs(self):
-        with pytest.raises(TypeError, match="pre-generated Traces"):
-            simulate_batch([(SUITES["ml"]["pool0"](scale=3), _cfg())])
-
-    def test_order_preserved(self, small_trace, other_trace):
-        items = [(other_trace, _cfg()), (small_trace, _cfg())]
-        results = simulate_batch(items)
-        assert results[0].name == other_trace.name
-        assert results[1].name == small_trace.name
-
-
 def test_no_numpy_on_any_production_path():
     # the engines, campaign and serve stacks are pure Python: importing
-    # them and running both compiled entry points must not pull NumPy in
+    # them and running the compiled engine must not pull NumPy in
     script = textwrap.dedent("""
         import sys
         from dataclasses import replace
         import repro.core
         import repro.campaign.runner
         import repro.serve.app
-        from repro.core import CORES, simulate
-        from repro.core.compiled import simulate_batch
+        from repro.core import CORES, RecycleMode, simulate
         from repro.pipeline.trace import generate_trace
         from repro.workloads.suites import SUITES
         trace = generate_trace(SUITES["ml"]["pool0"](scale=2))
-        config = replace(CORES["small"], engine="compiled")
-        simulate(trace, config)
-        simulate_batch([(trace, config)])
+        for mode in RecycleMode:
+            simulate(trace, replace(CORES["small"].with_mode(mode),
+                                    engine="compiled"))
         assert "numpy" not in sys.modules, "numpy was imported"
         print("ok")
     """)

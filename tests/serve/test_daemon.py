@@ -96,10 +96,10 @@ class TestSweep:
             [("small", "baseline"), ("small", "redsoc")]
         assert "speedup" in jobs[1]
 
-    def test_compiled_sweep_rides_batch_lanes(self, client):
-        # a compiled-pinned sweep goes to ONE worker as batched lanes;
-        # the reply shape and cycle counts must match the fanned-out
-        # path exactly (engines and batching are performance choices)
+    def test_compiled_sweep_fans_out_per_payload(self, client):
+        # an engine-pinned sweep fans out like an unpinned one, and
+        # its jobs share the unpinned jobs' cache keys (keys carry
+        # semantics only; engines are a performance choice)
         reply = client.sweep(suite="ml", bench="pool0", scale=3,
                              cores=["small"],
                              modes=["baseline", "redsoc"],
@@ -107,12 +107,13 @@ class TestSweep:
         jobs = reply["result"]["jobs"]
         assert [(j["core"], j["mode"]) for j in jobs] == \
             [("small", "baseline"), ("small", "redsoc")]
+        assert [j["engine"] for j in jobs] == ["compiled", "compiled"]
         assert "speedup" in jobs[1]
         plain = client.sweep(suite="ml", bench="pool0", scale=3,
                              cores=["small"],
                              modes=["baseline", "redsoc"])
-        assert [j["cycles"] for j in jobs] == \
-            [j["cycles"] for j in plain["result"]["jobs"]]
+        assert [(j["key"], j["cycles"]) for j in jobs] == \
+            [(j["key"], j["cycles"]) for j in plain["result"]["jobs"]]
 
 
 class TestVerify:

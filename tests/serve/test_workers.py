@@ -12,6 +12,7 @@ import signal
 
 import pytest
 
+from repro.campaign.cache import inline_trace_index_key
 from repro.isa.serialize import program_to_dict
 from repro.isa.textasm import assemble_text
 from repro.serve.workers import WorkerCrash, WorkerPool, execute_payload
@@ -57,6 +58,19 @@ class TestExecutePayload:
         red = execute_payload("simulate", inline_payload("redsoc"),
                               str(tmp_path))
         assert base["key"] != red["key"]
+
+    def test_simulate_and_estimate_share_the_index_entry(self, tmp_path):
+        # one inline program, one trace-index key: whichever path runs
+        # first spares the other its trace generation
+        def index(root):
+            return {path.name: path.read_text()
+                    for path in (root / "traces").glob("*.json")}
+
+        execute_payload("simulate", inline_payload(), str(tmp_path / "s"))
+        execute_payload("estimate", inline_payload(), str(tmp_path / "e"))
+        tkey = inline_trace_index_key(inline_payload()["program"])
+        assert list(index(tmp_path / "s")) == [f"{tkey}.json"]
+        assert index(tmp_path / "s") == index(tmp_path / "e")
 
     def test_verify_batch(self, tmp_path):
         result = execute_payload("verify",

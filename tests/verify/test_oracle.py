@@ -38,6 +38,34 @@ class TestCleanPrograms:
         assert list(verdict.cycles) == [RecycleMode.BASELINE.value]
 
 
+class TestEngineLegs:
+    def test_cached_simulate_fn_cannot_answer_engine_legs(
+            self, tmp_path, monkeypatch):
+        # result keys leave the engine out, so a cache-backed
+        # simulate_fn would answer compiled's leg with reference's
+        # entry; the legs must run the engine itself and catch this
+        from repro.campaign import ResultCache, cached_simulate
+        from repro.core.compiled import CompiledSimulator
+
+        original = CompiledSimulator.run
+
+        def one_cycle_late(self):
+            result = original(self)
+            result.stats.cycles += 1
+            return result
+
+        monkeypatch.setattr(CompiledSimulator, "run", one_cycle_late)
+        cache = ResultCache(tmp_path / "cache")
+        verdict = check_program(
+            ProgramGenerator(0).program(0), metamorphic=False,
+            engines=["reference", "compiled"],
+            simulate_fn=lambda trace, cfg: cached_simulate(
+                trace, cfg, cache))
+        flagged = {(d.check, d.mode) for d in verdict.divergences}
+        assert flagged == {("engine.stats", mode.value)
+                           for mode in RecycleMode}
+
+
 class TestDefectInjection:
     @pytest.mark.parametrize("name", sorted(DEFECTS))
     def test_every_defect_is_caught(self, name):
