@@ -3,9 +3,10 @@
 Every cache entry is one JSON file under ``.redsoc-cache/`` named by a
 stable SHA-256 key over three components:
 
-1. the **trace fingerprint** — a digest of every dynamic instruction
-   (opcode, operands, widths, memory addresses, branch outcomes), so a
-   workload or scale change produces a different key;
+1. the **trace fingerprint** — a digest of the static instructions
+   (opcode, operands) and of every dynamic instruction's pc, branch
+   outcome, width and memory access, so a workload or scale change
+   produces a different key;
 2. the **config fingerprint** — the canonicalised
    :class:`~repro.core.config.CoreConfig` including mode, scheduler
    flavour and every ablation knob, but *not* the engine: engines are
@@ -27,6 +28,7 @@ import json
 import logging
 import os
 import tempfile
+from array import array
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -40,8 +42,11 @@ from repro.core.cpu import SimResult, simulate
 from repro.pipeline.trace import Trace
 
 #: bump to force a cold cache even when no source file changed
-#: (e.g. after a semantics-preserving refactor you do not trust yet)
-MODEL_SALT = "redsoc-campaign-1"
+#: (e.g. after a semantics-preserving refactor you do not trust yet),
+#: and whenever :func:`trace_fingerprint` changes format:
+#: :func:`trace_version` does not hash this module, so only the salt
+#: retires trace-index entries that hold old-format fingerprints
+MODEL_SALT = "redsoc-campaign-2"
 
 #: environment override for the cache location (used by CI and tests)
 CACHE_DIR_ENV = "REDSOC_CACHE_DIR"
@@ -114,8 +119,33 @@ def config_fingerprint(config: CoreConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _instr_row(instr) -> str:
+    """The 14 decoded fields of one static instruction, as text."""
+    return repr((
+        instr.op.name,
+        instr.rd and repr(instr.rd), instr.rn and repr(instr.rn),
+        instr.rm and repr(instr.rm), instr.ra and repr(instr.ra),
+        instr.rs and repr(instr.rs),
+        instr.imm, instr.shift.name, instr.shift_amt,
+        instr.set_flags, instr.cond.name, instr.target,
+        instr.dtype and instr.dtype.name, instr.scale))
+
+
 def trace_fingerprint(trace: Trace) -> str:
     """Stable digest of a dynamic trace's timing-relevant content.
+
+    Hashes the trace name, the static instruction table (each distinct
+    pc with its instruction's decoded fields, in pc order) and seven
+    int64 entry columns as flat bytes: ``pc``, ``next_pc``, ``taken``,
+    ``op_width``, ``mem_addr`` (``-1`` for none), ``mem_size`` and
+    ``is_store``.  The columns come straight from ``trace.entries``,
+    so the cache does not depend on the compiled engine's lowering.
+
+    The table keeps one instruction per pc, so every entry at a pc must
+    run the same one, the program's (:func:`repro.core.lower.lower_trace`
+    relies on this too); a trace that breaks this raises
+    :class:`ValueError` instead of getting a digest that cannot tell
+    its instructions apart.
 
     Memoised on the trace object: campaigns and bench sessions probe
     the cache once per (core, mode) for the same trace.
@@ -123,21 +153,26 @@ def trace_fingerprint(trace: Trace) -> str:
     memo = getattr(trace, "_fingerprint", None)
     if memo is not None:
         return memo
+    entries = trace.entries
+    pcs = [e.pc for e in entries]
+    instrs = [e.instr for e in entries]
+    static = dict(zip(pcs, instrs))
+    if list(map(static.__getitem__, pcs)) != instrs:
+        raise ValueError(f"trace {trace.name!r} runs more than one "
+                         f"instruction at the same pc")
     sha = hashlib.sha256()
-    sha.update(trace.name.encode())
-    for entry in trace.entries:
-        instr = entry.instr
-        sha.update(repr((
-            instr.op.name,
-            instr.rd and repr(instr.rd), instr.rn and repr(instr.rn),
-            instr.rm and repr(instr.rm), instr.ra and repr(instr.ra),
-            instr.rs and repr(instr.rs),
-            instr.imm, instr.shift.name, instr.shift_amt,
-            instr.set_flags, instr.cond.name, instr.target,
-            instr.dtype and instr.dtype.name, instr.scale,
-            entry.pc, entry.next_pc, entry.taken, entry.op_width,
-            entry.mem_addr, entry.mem_size, entry.is_store,
-        )).encode())
+    sha.update(repr((trace.name, len(static), len(entries))).encode())
+    for pc in sorted(static):
+        sha.update(f"{pc}:{_instr_row(static[pc])}".encode())
+    for column in (
+            pcs,
+            [e.next_pc for e in entries],
+            [e.taken for e in entries],
+            [e.op_width for e in entries],
+            [-1 if e.mem_addr is None else e.mem_addr for e in entries],
+            [e.mem_size for e in entries],
+            [e.is_store for e in entries]):
+        sha.update(array("q", column).tobytes())
     digest = sha.hexdigest()
     trace._fingerprint = digest
     return digest

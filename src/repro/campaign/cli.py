@@ -109,9 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=list(ENGINES.names()),
                      default=None,
                      help="pin every job to one simulation backend "
-                          "(default: the config default; all engines "
-                          "are cycle-identical, so cached results serve "
-                          "every engine: add --force to run this one)")
+                          "(default: the config default, compiled; all "
+                          "engines are cycle-identical, so cached results "
+                          "serve every engine: add --force to run this "
+                          "one)")
     run.add_argument("--smoke", action="store_true",
                      help="one small benchmark per suite on the small "
                           "core (the CI smoke set)")

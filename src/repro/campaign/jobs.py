@@ -3,12 +3,15 @@
 A :class:`CampaignJob` names one simulation — ``(suite, benchmark,
 core, mode)`` plus an optional scale override — without holding any
 heavyweight state, so jobs pickle cheaply across process boundaries.
-Traces and configs are materialised lazily (and memoised per process)
-by :func:`job_trace` / :func:`job_config`.
+Traces and configs are materialised lazily by :func:`job_trace` /
+:func:`job_config`; each process keeps only its latest trace (see
+``_TRACE_MEMO_SIZE``).  Jobs run on the config's default engine,
+``compiled``, unless pinned to another.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -109,24 +112,29 @@ def smoke_jobs(modes: Optional[Sequence[str]] = None,
     return jobs
 
 
-#: per-process trace memo so a worker simulating several (core, mode)
-#: combinations of one benchmark regenerates its trace only once
-_TRACE_MEMO: Dict[Tuple[str, str, Optional[int]], Trace] = {}
+#: traces kept per process.  Every in-tree caller walks jobs grouped
+#: by trace (evaluation order, ``runner._trace_chunks`` when
+#: ``workers > 1``, ``campaign predict``'s ``_features_by_workload``),
+#: so one is enough; it also bounds what a long-lived serve worker,
+#: asked for any ``scale`` a request names, keeps alive
+_TRACE_MEMO_SIZE = 1
+
+
+@functools.lru_cache(maxsize=_TRACE_MEMO_SIZE)
+def _trace(suite: str, bench: str, scale: Optional[int]) -> Trace:
+    builder = SUITES[suite][bench]
+    if scale is not None:
+        kwargs: Dict[str, int] = {"scale": scale}
+    else:
+        kwargs = default_scale(suite, bench)
+    # a module-global lookup on purpose: perfbench/layers.py wraps
+    # ``repro.campaign.jobs.generate_trace`` to time trace generation
+    return generate_trace(builder(**kwargs))
 
 
 def job_trace(job: CampaignJob) -> Trace:
     """Materialise (and memoise) the dynamic trace for *job*."""
-    memo_key = (job.suite, job.bench, job.scale)
-    trace = _TRACE_MEMO.get(memo_key)
-    if trace is None:
-        builder = SUITES[job.suite][job.bench]
-        if job.scale is not None:
-            kwargs: Dict[str, int] = {"scale": job.scale}
-        else:
-            kwargs = default_scale(job.suite, job.bench)
-        trace = generate_trace(builder(**kwargs))
-        _TRACE_MEMO[memo_key] = trace
-    return trace
+    return _trace(job.suite, job.bench, job.scale)
 
 
 def job_config(job: CampaignJob) -> CoreConfig:

@@ -2,7 +2,7 @@
 
 Jobs are independent, deterministic, and read/write a shared on-disk
 cache, so sharding is embarrassingly parallel: each worker process
-materialises its own traces (memoised per process), probes the cache,
+materialises its own traces (the latest one memoised), probes the cache,
 and simulates only on a miss.  Cache writes are atomic, and identical
 keys always carry identical content, so racing workers are harmless.
 
@@ -65,7 +65,7 @@ class JobRecord:
     speedup: Optional[float] = None
     worker: str = ""
     #: simulation backend the job was pinned to (``reference`` or
-    #: ``compiled``; ``None`` = the config default, ``reference``);
+    #: ``compiled``; ``None`` = the config default, ``compiled``);
     #: engines are cycle-identical, so this is telemetry, not identity
     #: — labels and reference keys stay engine-free
     engine: Optional[str] = None

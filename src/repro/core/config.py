@@ -72,11 +72,11 @@ class CoreConfig:
     scheduler: SchedulerDesign = SchedulerDesign.OPERATIONAL
     #: simulation backend (timing-irrelevant: every registered engine is
     #: cycle-identical, enforced by the CI backend-equivalence matrix).
-    #: ``reference`` is the per-cycle step loop (the oracle, and the
-    #: only path with observability probes); ``compiled`` lowers the
-    #: trace and replays memoized per-trace columns — faster, but its
-    #: columns cost memory, so it is opt-in
-    engine: str = "reference"
+    #: ``compiled`` lowers the trace and replays memoized per-trace
+    #: columns, about twice as fast; ``reference`` is the per-cycle step
+    #: loop (the oracle, and the only path with observability probes:
+    #: observed runs use it whatever this says)
+    engine: str = "compiled"
     skewed_select: bool = True
     #: run the Eager-Grandparent (GP) select phase at all; False keeps
     #: transparent execution but never co-issues children with their

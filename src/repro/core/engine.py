@@ -3,14 +3,14 @@
 The cycle model has one semantics and two implementations:
 
 * ``reference`` — the per-cycle :meth:`CoreSimulator._step` loop, one
-  cycle at a time, observability-friendly.  The default, and the
-  differential oracle the other backend is checked against.
+  cycle at a time, observability-friendly.  The differential oracle
+  the other backend is checked against.
 * ``compiled`` — lowers the dynamic trace into flat parallel columns
   (:mod:`repro.core.lower`), precomputes decode, predictor-hash and
   branch-resolution columns once per trace, and replays them in one
-  event-skipping closure (:mod:`repro.core.compiled`).  Falls back to
-  ``reference`` whenever an observer is attached (the compiled loop
-  has no probe points).
+  event-skipping closure (:mod:`repro.core.compiled`).  The default.
+  Falls back to ``reference`` whenever an observer is attached (the
+  compiled loop has no probe points).
 
 Backends register a factory ``(trace, config, obs=None) -> runner``
 where ``runner.run()`` returns a :class:`~repro.core.cpu.SimResult`;

@@ -43,9 +43,13 @@ from repro.pipeline.uop import OPCLASS_INDEX
 
 @dataclass
 class LoweredTrace:
-    """Flat-column view of one dynamic trace (see module docstring)."""
+    """Flat-column view of one dynamic trace (see module docstring).
 
-    trace: Trace
+    It holds no reference back to its trace: the trace memoizes it as
+    ``trace._lowered``, and a back-reference would make the pair a
+    cycle that outlives its last user until a full GC pass.
+    """
+
     n: int
     # -- per-dynamic-entry columns -------------------------------------
     pc: List[int]
@@ -160,7 +164,7 @@ def lower_trace(trace: Trace) -> LoweredTrace:
             rat[reg] = i
 
     lowered = LoweredTrace(
-        trace=trace, n=n,
+        n=n,
         pc=col_pc, op_width=col_width,
         mem_addr=col_addr, mem_size=col_size, cls_idx=col_cls,
         static_idx=col_static, taken=col_taken, is_store=col_store,

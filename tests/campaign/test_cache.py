@@ -16,7 +16,9 @@ from repro.campaign.cache import (
     trace_index_key,
 )
 from repro.core import CORES, ENGINES, RecycleMode, simulate
-from repro.pipeline.trace import generate_trace
+from repro.isa.opcodes import Cond, Opcode, ShiftOp, SimdType
+from repro.isa.registers import r
+from repro.pipeline.trace import Trace, generate_trace
 from repro.workloads.suites import SUITES
 
 
@@ -43,6 +45,105 @@ class TestKeyStability:
     def test_fingerprint_memoised_on_trace(self, tiny_trace):
         assert trace_fingerprint(tiny_trace) is \
             trace_fingerprint(tiny_trace)
+
+
+def _other_reg(reg):
+    return r(1) if reg != r(1) else r(2)
+
+
+#: every instruction field the trace fingerprint covers, with a change
+INSTR_CHANGES = {
+    "op": lambda v: Opcode.SUB if v is not Opcode.SUB else Opcode.ADD,
+    "rd": _other_reg, "rn": _other_reg, "rm": _other_reg,
+    "ra": _other_reg, "rs": _other_reg,
+    "imm": lambda v: (v or 0) + 1,
+    "shift": lambda v: ShiftOp.LSL if v is not ShiftOp.LSL
+    else ShiftOp.ASR,
+    "shift_amt": lambda v: v + 1,
+    "set_flags": lambda v: not v,
+    "cond": lambda v: Cond.EQ if v is not Cond.EQ else Cond.NE,
+    "target": lambda v: 999 if v != 999 else 998,
+    "dtype": lambda v: SimdType.I8 if v is not SimdType.I8
+    else SimdType.I16,
+    "scale": lambda v: v + 1,
+}
+
+#: every dynamic-entry field the trace fingerprint covers, with a change
+#: (the new pc is one the program does not have)
+ENTRY_CHANGES = {
+    "pc": lambda v: v + 1_000_000,
+    "next_pc": lambda v: v + 1,
+    "taken": lambda v: not v,
+    "op_width": lambda v: v + 1,
+    "mem_addr": lambda v: v + 4,
+    "mem_size": lambda v: v + 1,
+    "is_store": lambda v: not v,
+}
+
+
+def _retraced(trace, entries, name=None):
+    return Trace(name=trace.name if name is None else name,
+                 entries=entries, final_regs=trace.final_regs,
+                 final_mem=trace.final_mem)
+
+
+class TestFingerprintCoverage:
+    """One changed field in one entry changes the digest.
+
+    A trace runs one instruction per pc, so changing an instruction
+    field changes it in every entry that runs that instruction.
+    """
+
+    @pytest.fixture
+    def probe(self, tiny_trace):
+        """Index of a memory entry whose pc the trace runs repeatedly."""
+        pcs = [e.pc for e in tiny_trace.entries]
+        return next(i for i, e in enumerate(tiny_trace.entries)
+                    if e.mem_addr is not None and pcs.count(e.pc) > 1)
+
+    @pytest.mark.parametrize("field", sorted(INSTR_CHANGES))
+    def test_instruction_field(self, tiny_trace, probe, field):
+        old = tiny_trace.entries[probe].instr
+        new = replace(old, **{field: INSTR_CHANGES[field](
+            getattr(old, field))})
+        entries = [replace(e, instr=new) if e.instr is old else e
+                   for e in tiny_trace.entries]
+        assert trace_fingerprint(_retraced(tiny_trace, entries)) != \
+            trace_fingerprint(tiny_trace)
+
+    @pytest.mark.parametrize("field", sorted(ENTRY_CHANGES))
+    def test_entry_field(self, tiny_trace, probe, field):
+        entries = list(tiny_trace.entries)
+        entry = entries[probe]
+        entries[probe] = replace(entry, **{field: ENTRY_CHANGES[field](
+            getattr(entry, field))})
+        assert trace_fingerprint(_retraced(tiny_trace, entries)) != \
+            trace_fingerprint(tiny_trace)
+
+    def test_trace_name(self, tiny_trace):
+        renamed = _retraced(tiny_trace, tiny_trace.entries, name="pool9")
+        assert trace_fingerprint(renamed) != trace_fingerprint(tiny_trace)
+
+    def test_no_memory_access_differs_from_address_zero(self, tiny_trace):
+        entries = list(tiny_trace.entries)
+        i = next(i for i, e in enumerate(entries) if e.mem_addr is None)
+        entries[i] = replace(entries[i], mem_addr=0)
+        assert trace_fingerprint(_retraced(tiny_trace, entries)) != \
+            trace_fingerprint(tiny_trace)
+
+    def test_two_instructions_at_one_pc_are_refused(self, tiny_trace,
+                                                    probe):
+        entries = list(tiny_trace.entries)
+        entry = entries[probe]
+        entries[probe] = replace(entry, instr=replace(
+            entry.instr, imm=(entry.instr.imm or 0) + 1))
+        with pytest.raises(ValueError, match="more than one instruction"):
+            trace_fingerprint(_retraced(tiny_trace, entries))
+
+    def test_reads_entries_not_the_lowering(self):
+        fresh = generate_trace(SUITES["ml"]["pool0"](scale=3))
+        trace_fingerprint(fresh)
+        assert not hasattr(fresh, "_lowered")
 
 
 class TestKeyInvalidation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.campaign.jobs as jobs_module
 from repro.campaign.jobs import (
     CampaignJob,
     SMOKE_BENCHMARKS,
@@ -11,6 +12,7 @@ from repro.campaign.jobs import (
 )
 from repro.campaign.runner import _trace_chunks, run_campaign
 from repro.core import CORES, RecycleMode
+from repro.pipeline.trace import generate_trace
 from repro.workloads.suites import SUITES
 
 #: two benchmarks x one core x two modes at tiny scale: fast enough
@@ -109,6 +111,25 @@ class TestRunCampaign:
                                     "hit_rate": 0.0}
         assert {r["suite"] for r in payload["results"]} == {"ml"}
         assert "model_version" in payload
+
+
+class TestTraceMemo:
+    def test_serial_campaign_makes_each_trace_once(self, tmp_path,
+                                                   monkeypatch):
+        # a one-trace memo is enough only because jobs arrive grouped
+        # by trace: pin that grouping
+        made = []
+
+        def counting(program, **kwargs):
+            made.append(program.name)
+            return generate_trace(program, **kwargs)
+
+        jobs_module._trace.cache_clear()
+        monkeypatch.setattr(jobs_module, "generate_trace", counting)
+        jobs = smoke_jobs(scale=3)
+        result = run_campaign(jobs, workers=1, cache_dir=tmp_path)
+        assert len(result.records) == len(jobs)
+        assert len(made) == len(set(made)) == len(SMOKE_BENCHMARKS)
 
 
 class TestTraceChunks:

@@ -82,9 +82,9 @@ class TestRegistry:
         registry.register("a", lambda *a, **k: None)
         assert registry.names() == ("b", "a")
 
-    def test_default_engine_is_reference(self, config):
-        assert CoreConfig().engine == "reference"
-        assert config.engine == "reference"
+    def test_default_engine_is_compiled(self, config):
+        assert CoreConfig().engine == "compiled"
+        assert config.engine == "compiled"
 
 
 class TestBackendSelection:

@@ -1,5 +1,7 @@
 """Lowering pass: column round-trip, dataflow, property tests."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -43,6 +45,21 @@ class TestColumnsRoundTrip:
 
     def test_memoized_on_trace(self, trace, lowered):
         assert lower_trace(trace) is lowered
+
+    def test_lowered_trace_dies_with_its_last_reference(self):
+        # the lowering (and the replay columns memoized on it) must not
+        # point back at the trace: a cycle would keep an evicted trace
+        # alive until a full GC pass
+        fresh = generate_trace(SUITES["ml"]["pool0"](scale=3))
+        simulate(fresh, replace(CORES["small"], engine="compiled"))
+        assert fresh._lowered is lower_trace(fresh)
+        alive = weakref.ref(fresh)
+        gc.disable()
+        try:
+            del fresh
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestStaticDataflow:

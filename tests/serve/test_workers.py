@@ -12,6 +12,7 @@ import signal
 
 import pytest
 
+import repro.campaign.jobs as jobs_module
 from repro.campaign.cache import inline_trace_index_key
 from repro.isa.serialize import program_to_dict
 from repro.isa.textasm import assemble_text
@@ -41,6 +42,20 @@ class TestExecutePayload:
         assert result["cycles"] > 0
         assert result["workload"] == "ml/pool0"
         assert result["cache_hit"] is False
+
+    def test_trace_memo_stays_bounded_over_many_scales(self, tmp_path):
+        # a long-lived worker is asked for whatever scale a request
+        # names; it must not keep every trace it has ever made
+        jobs_module._trace.cache_clear()
+        for scale in range(1, 7):
+            execute_payload("simulate",
+                            {"suite": "ml", "bench": "pool0",
+                             "core": "small", "mode": "baseline",
+                             "scale": scale},
+                            str(tmp_path))
+            info = jobs_module._trace.cache_info()
+            assert info.currsize == jobs_module._TRACE_MEMO_SIZE
+        assert info.misses == 6
 
     def test_inline_simulate_warms_the_cache(self, tmp_path):
         cold = execute_payload("simulate", inline_payload(),
