@@ -6,12 +6,14 @@ FU-stall rates (Fig. 14), predictor accuracies (Fig. 12, Sec. II-B) and
 transparent-sequence statistics (Fig. 11).
 
 :class:`SimStats` stays the flat, JSON-friendly record the benches and
-the campaign cache consume, but it is populated *through* the
-simulator's :class:`~repro.obs.metrics.MetricsRegistry` at the end of a
-run: end-of-run gauges (predictor rates, sequence statistics) flow from
-the registry into the dataclass (:meth:`SimStats.populate_from`), and
-the live counters flow back out (:meth:`SimStats.export_counters`) so a
-metrics snapshot is always a superset of the stats record.
+the campaign cache consume.  The reference simulator populates it
+*through* its :class:`~repro.obs.metrics.MetricsRegistry` at the end of
+a run: end-of-run gauges (predictor rates, sequence statistics) flow
+from the registry into the dataclass (:meth:`SimStats.populate_from`),
+and the live counters flow back out (:meth:`SimStats.export_counters`)
+so a metrics snapshot is always a superset of the stats record.  The
+compiled engine, which exports no metrics, sets the same fields
+directly.
 """
 
 from __future__ import annotations

@@ -13,19 +13,19 @@ memory disambiguation and static decode were already done once by the
 lowering pass.
 
 Everything that does not depend on the replay state is computed ahead
-of time as plain-list columns and memoized on the lowered trace:
+of time as plain-list columns:
 
 * **entry columns** — predictor hash columns (``pc % 4096`` for the
   width predictor, ``pc % 1024`` for the last-arrival predictor) and a
   **branch-resolution column**: fetch trains the gshare predictor
   strictly in trace order, whatever the timing does, so every
   conditional branch's mispredict bit is a pure function of the trace
-  and the replay's fetch stage never touches a predictor table;
+  and the replay's fetch stage never touches a predictor table; they
+  read no config, so they are memoized on the lowered trace;
 * **decode columns** — transparency, latency, static EX-TIME, width
-  buckets and the width-resolved actual EX-TIME per entry, keyed by the
-  slice of the config decode reads (:func:`_decode_key`), so a
-  cores × modes sweep shares them wherever they are provably identical
-  (REDSOC and MOS decode the same columns; only BASELINE differs);
+  buckets and the width-resolved actual EX-TIME per entry, built once
+  per run from the static decode table (:func:`decode_static`, one row
+  per static instruction) and gathered per entry;
 * **slack LUT / tick base** — read-only after construction and shared
   process-wide per (ticks, tech, PVT) instead of rebuilt per run.
 
@@ -71,11 +71,24 @@ from repro.isa.opcodes import (
 )
 from repro.isa.semantics import width_bucket
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.trace import Trace
 from repro.pipeline.uop import OPCLASS_INDEX
 
-from .config import CoreConfig, RecycleMode, SchedulerDesign
+from .config import (
+    CoreConfig,
+    DIV_LATENCY,
+    EAGER_SPARE_UNITS,
+    FDIV_LATENCY,
+    FP_LATENCY,
+    MISPREDICT_PENALTY,
+    MUL_LATENCY,
+    RecycleMode,
+    REPLAY_PENALTY,
+    SchedulerDesign,
+    SIMD_MULTICYCLE_LATENCY,
+    TAKEN_BRANCHES_PER_CYCLE,
+    THRESHOLD_WINDOW,
+)
 from .lower import LoweredTrace, lower_trace
 from .slack_lut import SlackLUT
 from .ticks import TickBase
@@ -98,13 +111,13 @@ _LANE_ORDER = (_I_ALU, _I_SIMD, _I_FP, _I_LOAD, _I_STORE, _I_MUL,
 _WIDTH_CLASSES = (8, 16, 24, 32)
 
 
-def _decode_static(instr, config: CoreConfig, lut: SlackLUT,
-                   tpc: int) -> tuple:
-    """(transparent, latency, static EX-TIME, width-dynamic?) — the
-    exact :meth:`CoreSimulator._decode_static` table."""
+def decode_static(instr, transparent: bool, lut: SlackLUT,
+                  tpc: int) -> tuple:
+    """(transparent, latency, static EX-TIME, width-dynamic?) of a
+    static instruction — the exact :meth:`CoreSimulator._decode_static`
+    table; *transparent* says whether recycling is on."""
     op = instr.op
     cls = instr.cls
-    transparent = config.mode is not RecycleMode.BASELINE
     if cls is OpClass.ALU:
         if op in ARITH_OPS:
             return (transparent, 1, 0, True)
@@ -113,16 +126,16 @@ def _decode_static(instr, config: CoreConfig, lut: SlackLUT,
         if op in SIMD_SINGLE_CYCLE_OPS:
             return (transparent, 1, lut.ex_time(instr), False)
         if op in SIMD_ACCUMULATE_OPS:
-            return (transparent, config.simd_multicycle_latency,
+            return (transparent, SIMD_MULTICYCLE_LATENCY,
                     lut.ex_time(instr), False)
-        return (False, config.simd_multicycle_latency, tpc, False)
+        return (False, SIMD_MULTICYCLE_LATENCY, tpc, False)
     if cls is OpClass.MUL:
-        return (False, config.mul_latency, tpc, False)
+        return (False, MUL_LATENCY, tpc, False)
     if cls is OpClass.DIV:
-        return (False, config.div_latency, tpc, False)
+        return (False, DIV_LATENCY, tpc, False)
     if cls is OpClass.FP:
-        return (False, config.fdiv_latency if op is Opcode.FDIV
-                else config.fp_latency, tpc, False)
+        return (False, FDIV_LATENCY if op is Opcode.FDIV
+                else FP_LATENCY, tpc, False)
     return (False, 1, tpc, False)
 
 
@@ -148,10 +161,9 @@ def _shared_lut(config: CoreConfig) -> Tuple[TickBase, SlackLUT]:
 
 
 class _EntryColumns:
-    """Config-independent columns derived from one lowered trace, plus
-    the per-decode-key cache of its :class:`_DecodeColumns`."""
+    """Config-independent columns derived from one lowered trace."""
 
-    __slots__ = ("phash", "lhash", "misp", "br_n", "br_wrong", "decode")
+    __slots__ = ("phash", "lhash", "misp", "br_n", "br_wrong")
 
     def __init__(self, low: LoweredTrace) -> None:
         pcs = low.pc
@@ -183,11 +195,11 @@ class _EntryColumns:
         self.misp = misp
         self.br_n = len(sites)
         self.br_wrong = wrong
-        self.decode: Dict[tuple, _DecodeColumns] = {}
 
 
 class _DecodeColumns:
-    """Config-dependent per-entry decode columns."""
+    """Per-run decode columns of one lowered trace under one config;
+    ``ex`` is mutated in place by the run's width prediction."""
 
     __slots__ = ("transp", "lat", "ex", "arith", "wb", "actual_ex",
                  "s_exwc")
@@ -195,7 +207,8 @@ class _DecodeColumns:
     def __init__(self, low: LoweredTrace, config: CoreConfig,
                  lut: SlackLUT, tpc: int) -> None:
         # per-static-instruction tables (the small dimension) ...
-        table = [_decode_static(instr, config, lut, tpc)
+        transparent = config.mode is not RecycleMode.BASELINE
+        table = [decode_static(instr, transparent, lut, tpc)
                  for instr in low.instrs]
         self.s_exwc: List[Optional[tuple]] = [
             tuple(lut.ex_time(instr, w) for w in _WIDTH_CLASSES)
@@ -218,34 +231,11 @@ class _DecodeColumns:
                 actual_ex[i] = s_exwc[sidx[i]][(b >> 3) - 1]
 
 
-def _decode_key(config: CoreConfig) -> tuple:
-    """The slice of the config the decode columns depend on.
-
-    ``_decode_static`` reads only recycling-on/off (not which recycling
-    flavour), the tick base, the PVT corner and the fixed latencies —
-    REDSOC and MOS therefore share one decode, BASELINE gets its own.
-    """
-    return (config.mode is RecycleMode.BASELINE,
-            config.ticks_per_cycle, config.tech, config.pvt_scale,
-            config.mul_latency, config.div_latency, config.fp_latency,
-            config.fdiv_latency, config.simd_multicycle_latency)
-
-
 def _entry_columns(low: LoweredTrace) -> _EntryColumns:
     cols = getattr(low, "_columns", None)
     if cols is None:
         cols = low._columns = _EntryColumns(low)
     return cols
-
-
-def _decode_columns(low: LoweredTrace, config: CoreConfig,
-                    lut: SlackLUT, tpc: int) -> _DecodeColumns:
-    cache = _entry_columns(low).decode
-    key = _decode_key(config)
-    decode = cache.get(key)
-    if decode is None:
-        decode = cache[key] = _DecodeColumns(low, config, lut, tpc)
-    return decode
 
 
 # ---------------------------------------------------------------------
@@ -276,31 +266,31 @@ class CompiledSimulator:
         load_latency = mem.load_latency
         store_latency = mem.store_latency
 
-        # -- baked config constants ------------------------------------
+        # -- baked constants (config and machine) ----------------------
         TPC = base.ticks_per_cycle
         FRONT = config.front_width
         QUEUE_CAP = 2 * FRONT
         ROB_SIZE = config.rob_size
         RSE_SIZE = config.rse_size
         LSQ_SIZE = config.lsq_size
-        MISPRED_PEN = config.mispredict_penalty
-        REPLAY_PEN = config.replay_penalty
-        TAKEN_PER_CYCLE = config.taken_branches_per_cycle
+        MISPRED_PEN = MISPREDICT_PENALTY
+        REPLAY_PEN = REPLAY_PENALTY
+        TAKEN_PER_CYCLE = TAKEN_BRANCHES_PER_CYCLE
         L1_LAT = config.memory.l1_latency
         IS_MOS = config.mode is RecycleMode.MOS
         DO_GP = (config.mode is not RecycleMode.BASELINE
                  and config.eager_issue)
         SKEWED = config.skewed_select
-        SPARE = config.eager_spare_units
+        SPARE = EAGER_SPARE_UNITS
         ADAPTIVE = (config.adaptive_threshold
                     and config.mode is RecycleMode.REDSOC)
-        WINDOW = config.threshold_window
+        WINDOW = THRESHOLD_WINDOW
         WATCH_ALL = (config.mode is RecycleMode.BASELINE
                      or config.scheduler is SchedulerDesign.ILLUSTRATIVE)
 
-        # -- memoized columnar precompute ------------------------------
+        # -- columnar precompute ---------------------------------------
         cols = _entry_columns(low)
-        decode = _decode_columns(low, config, lut, TPC)
+        decode = _DecodeColumns(low, config, lut, TPC)
 
         sidx = low.static_idx
         pcs = low.pc
@@ -322,7 +312,7 @@ class CompiledSimulator:
         arith = decode.arith
         wb = decode.wb
         actual_ex = decode.actual_ex
-        ex = decode.ex[:]         # mutated by width prediction per run
+        ex = decode.ex            # mutated by width prediction
 
         # -- per-seq dynamic state -------------------------------------
         state = bytearray(n)          # 0 DISPATCHED / 1 ISSUED / 2 COMMITTED
@@ -1079,28 +1069,22 @@ class CompiledSimulator:
         dist["ALU-LS"] = d_aluls
         dist["ALU-HS"] = d_aluhs
 
-        m = MetricsRegistry()
-        m.gauge("predict.width.aggressive_rate").set(
-            w_aggr / w_lookups if w_lookups else 0.0)
-        m.gauge("predict.width.accuracy").set(
-            w_exact / w_lookups if w_lookups else 0.0)
-        m.gauge("predict.la.misprediction_rate").set(
-            la_wrong / la_n if la_n else 0.0)
-        m.gauge("predict.la.predictions").set(la_n)
-        m.gauge("predict.la.mispredictions").set(la_wrong)
+        stats.width_aggressive_rate = (w_aggr / w_lookups if w_lookups
+                                       else 0.0)
+        stats.width_accuracy = w_exact / w_lookups if w_lookups else 0.0
+        stats.la_misprediction_rate = la_wrong / la_n if la_n else 0.0
+        stats.la_predictions = la_n
+        stats.la_mispredictions = la_wrong
         total_len = sum(chain_len)
-        m.gauge("seq.expected_length").set(
+        stats.seq_expected_length = (
             sum(x * x for x in chain_len) / total_len if total_len
             else 0.0)
-        m.gauge("seq.mean_length").set(
-            total_len / len(chain_len) if chain_len else 0.0)
-        m.gauge("seq.count").set(len(chain_len))
-        m.gauge("front.branches").set(cols.br_n)
-        m.gauge("front.branch_mispredicts").set(cols.br_wrong)
-        stats.populate_from(m)
-        stats.export_counters(m)
-        m.gauge("core.ipc").set(stats.ipc)
+        stats.seq_mean_length = (total_len / len(chain_len) if chain_len
+                                 else 0.0)
+        stats.num_sequences = len(chain_len)
+        stats.branches = cols.br_n
+        stats.branch_mispredicts = cols.br_wrong
         return SimResult(name=trace.name, config=config, stats=stats)
 
 
-__all__ = ["CompiledSimulator"]
+__all__ = ["CompiledSimulator", "decode_static"]

@@ -20,6 +20,15 @@ all at 2 GHz with 64 kB L1 / 2 MB L2 and prefetching.
 on/off, Illustrative vs Operational RSE, skewed vs plain selection, the
 slack threshold, CI precision, and MOS fusion mode (the Sec. VI-D
 comparator).
+
+Timing parameters that no evaluation varies are module constants of
+the modelled machine, not per-run inputs: the fixed latencies of the
+true-synchronous op classes (``MUL_LATENCY``, ``DIV_LATENCY``,
+``FP_LATENCY``, ``FDIV_LATENCY``, ``SIMD_MULTICYCLE_LATENCY``), the
+front end's ``MISPREDICT_PENALTY`` and ``TAKEN_BRANCHES_PER_CYCLE``,
+the width-mispredict ``REPLAY_PENALTY``, the adaptive threshold
+controller's ``THRESHOLD_WINDOW`` and the GP phase's
+``EAGER_SPARE_UNITS``.
 """
 
 from __future__ import annotations
@@ -31,6 +40,25 @@ from repro.memory.hierarchy import MemoryConfig
 from repro.timing.gates import DEFAULT_TECH, TechParams
 
 from .ticks import DEFAULT_TICKS_PER_CYCLE
+
+
+#: fixed latencies (cycles) for true-synchronous op classes
+MUL_LATENCY = 3
+DIV_LATENCY = 12
+FP_LATENCY = 4
+FDIV_LATENCY = 12
+SIMD_MULTICYCLE_LATENCY = 3
+#: redirect + refill cycles after a mispredicted branch resolves
+MISPREDICT_PENALTY = 8
+#: selective-reissue bubble (cycles) after a width mispredict
+REPLAY_PENALTY = 2
+#: predicted-taken branches the front end can follow per cycle
+TAKEN_BRANCHES_PER_CYCLE = 1
+#: adaptive slack-threshold window in cycles
+THRESHOLD_WINDOW = 128
+#: functional units an eager (GP-phase) issue must leave free for
+#: conventional requests; 0 relies on the adaptive threshold alone
+EAGER_SPARE_UNITS = 0
 
 
 class SchedulerDesign(enum.Enum):
@@ -63,10 +91,6 @@ class CoreConfig:
     mem_ports: int = 2
     branch_units: int = 2     # dedicated branch-resolution pipes
     complex_units: int = 2    # integer multiply/divide pipes
-    mispredict_penalty: int = 8       # redirect + refill cycles
-    replay_penalty: int = 2           # selective-reissue bubble (cycles)
-    #: predicted-taken branches the front end can follow per cycle
-    taken_branches_per_cycle: int = 1
 
     mode: RecycleMode = RecycleMode.REDSOC
     scheduler: SchedulerDesign = SchedulerDesign.OPERATIONAL
@@ -88,16 +112,10 @@ class CoreConfig:
     #: any parent with at least one tick of slack (tuned per suite in
     #: the Sec. VI-C sweep)
     slack_threshold: int = 7
-    #: functional units an eager (GP-phase) issue must leave free for
-    #: conventional requests; 0 relies on the adaptive threshold alone
-    #: (kept as an ablation knob for the Sec. IV-C trade-off)
-    eager_spare_units: int = 0
     #: adapt the slack threshold at run time from observed FU-stall
     #: rates (the "simple but intelligent dynamic mechanism" of
     #: Sec. IV-C); when False the static slack_threshold is used as-is
     adaptive_threshold: bool = True
-    #: adaptation window in cycles
-    threshold_window: int = 128
     #: PVT corner for the slack LUT (1.0 = worst-case design corner, the
     #: paper's measurement point; < 1.0 models CPM-harvested PVT slack,
     #: > 1.0 a slow corner the LUT must cover) — see repro.core.pvt
@@ -105,13 +123,6 @@ class CoreConfig:
     ticks_per_cycle: int = DEFAULT_TICKS_PER_CYCLE
     tech: TechParams = DEFAULT_TECH
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-
-    #: fixed latencies (cycles) for true-synchronous op classes
-    mul_latency: int = 3
-    div_latency: int = 12
-    fp_latency: int = 4
-    fdiv_latency: int = 12
-    simd_multicycle_latency: int = 3
 
     def with_mode(self, mode: RecycleMode) -> "CoreConfig":
         return replace(self, mode=mode)

@@ -48,7 +48,21 @@ from repro.pipeline.resources import ExecutionResources
 from repro.pipeline.trace import Trace, TraceEntry, generate_trace
 from repro.pipeline.uop import OPCLASS_INDEX, Uop, UopState
 
-from .config import CoreConfig, RecycleMode, SchedulerDesign
+from .config import (
+    CoreConfig,
+    DIV_LATENCY,
+    EAGER_SPARE_UNITS,
+    FDIV_LATENCY,
+    FP_LATENCY,
+    MISPREDICT_PENALTY,
+    MUL_LATENCY,
+    RecycleMode,
+    REPLAY_PENALTY,
+    SchedulerDesign,
+    SIMD_MULTICYCLE_LATENCY,
+    TAKEN_BRANCHES_PER_CYCLE,
+    THRESHOLD_WINDOW,
+)
 from .engine import ENGINES
 from .last_arrival import LastArrivalPredictor
 from .scheduler import (
@@ -212,7 +226,7 @@ class CoreSimulator:
         if cycle and cycle % 4096 == 0:
             self.res.release_past(cycle)
         if (self._adaptive
-                and cycle and cycle % self.config.threshold_window == 0):
+                and cycle and cycle % THRESHOLD_WINDOW == 0):
             self._adapt_threshold()
         self.cycle += 1
 
@@ -453,7 +467,7 @@ class CoreSimulator:
             # correctness hazard: conservative re-execution from a later
             # clock edge with the true (wider) EX-TIME
             timing = resolve_execution(
-                arrival_cycle=arrival + self.config.replay_penalty,
+                arrival_cycle=arrival + REPLAY_PENALTY,
                 source_avail=source_avail,
                 ex_ticks=uop.actual_ex_ticks, transparent=False, base=base)
             self.stats.width_replays += 1
@@ -540,7 +554,7 @@ class CoreSimulator:
         self.ready.remove(uop)
         if uop.seq == self._blocked_on_seq:
             self._fetch_resume = (cycle + uop.latency_cycles
-                                  + self.config.mispredict_penalty)
+                                  + MISPREDICT_PENALTY)
             self._blocked_on_seq = None
         self._notify_dependents(uop, cycle)
 
@@ -746,11 +760,10 @@ class CoreSimulator:
         requests when the machine is throughput-bound — the simple
         dynamic mechanism Sec. IV-C sketches around the slack threshold.
         """
-        spare = self.config.eager_spare_units
         for child in self._gp_candidates(cycle, issued_now):
             pool = self._pool_by_idx[child.cls_idx]
-            if (pool.free_at(cycle + 1) <= spare
-                    or pool.free_at(cycle + 2) <= spare):
+            if (pool.free_at(cycle + 1) <= EAGER_SPARE_UNITS
+                    or pool.free_at(cycle + 2) <= EAGER_SPARE_UNITS):
                 continue
             result = self._try_issue(child, cycle, eager=True)
             if result == "issued" and self.obs is not None:
@@ -770,11 +783,10 @@ class CoreSimulator:
         mispeculation whenever a still-pending conventional request is
         older than the granted child.
         """
-        spare = self.config.eager_spare_units
         for child in self._gp_candidates(cycle, issued_now):
             pool = self._pool_by_idx[child.cls_idx]
-            if (pool.free_at(cycle + 1) <= spare
-                    or pool.free_at(cycle + 2) <= spare):
+            if (pool.free_at(cycle + 1) <= EAGER_SPARE_UNITS
+                    or pool.free_at(cycle + 2) <= EAGER_SPARE_UNITS):
                 continue
             pending = self.ready.pending(child.fu_class)
             older_pending = any(u.seq < child.seq for u in pending)
@@ -950,8 +962,7 @@ class CoreSimulator:
         """
         op = instr.op
         cls = instr.cls
-        config = self.config
-        transparent = config.mode is not RecycleMode.BASELINE
+        transparent = self.config.mode is not RecycleMode.BASELINE
         full = self.base.ticks_per_cycle
         if cls is OpClass.ALU:
             if op in ARITH_OPS:
@@ -961,16 +972,16 @@ class CoreSimulator:
             if op in SIMD_SINGLE_CYCLE_OPS:
                 return (transparent, 1, self.lut.ex_time(instr), False)
             if op in SIMD_ACCUMULATE_OPS:
-                return (transparent, config.simd_multicycle_latency,
+                return (transparent, SIMD_MULTICYCLE_LATENCY,
                         self.lut.ex_time(instr), False)
-            return (False, config.simd_multicycle_latency, full, False)
+            return (False, SIMD_MULTICYCLE_LATENCY, full, False)
         if cls is OpClass.MUL:
-            return (False, config.mul_latency, full, False)
+            return (False, MUL_LATENCY, full, False)
         if cls is OpClass.DIV:
-            return (False, config.div_latency, full, False)
+            return (False, DIV_LATENCY, full, False)
         if cls is OpClass.FP:
-            return (False, config.fdiv_latency if op is Opcode.FDIV
-                    else config.fp_latency, full, False)
+            return (False, FDIV_LATENCY if op is Opcode.FDIV
+                    else FP_LATENCY, full, False)
         # BRANCH / LOAD / STORE / NOP / HALT
         return (False, 1, full, False)
 
@@ -1017,7 +1028,7 @@ class CoreSimulator:
                     # the front end follows one predicted-taken branch
                     # per cycle (BTB redirect); a second ends the group
                     taken_seen += 1
-                    if taken_seen > config.taken_branches_per_cycle:
+                    if taken_seen > TAKEN_BRANCHES_PER_CYCLE:
                         break
 
 

@@ -54,7 +54,7 @@ def wake_cycle(producer: Uop, consumer: Uop, base: TickBase) -> int:
     latencies broadcast later so the consumer arrives at its execution
     stage just as the value becomes usable.  The consumer needs the
     operand ``latency_cycles`` after issue (1 for ALU ops; the
-    accumulate stage of a VMLA comes ``simd_multicycle_latency`` later,
+    accumulate stage of a VMLA comes ``SIMD_MULTICYCLE_LATENCY`` later,
     which is what makes back-to-back accumulate chains run at one per
     cycle — the late-forwarding behaviour of Sec. V).
     """

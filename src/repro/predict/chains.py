@@ -42,17 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.config import CoreConfig
+from repro.core.config import (
+    CoreConfig,
+    MISPREDICT_PENALTY,
+    TAKEN_BRANCHES_PER_CYCLE,
+)
 from repro.core.slack_lut import SlackLUT
 from repro.core.ticks import TickBase
-from repro.isa.opcodes import (
-    ARITH_OPS,
-    Cond,
-    OpClass,
-    Opcode,
-    SIMD_ACCUMULATE_OPS,
-    SIMD_SINGLE_CYCLE_OPS,
-)
+from repro.isa.opcodes import ARITH_OPS, Cond, OpClass, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.branch import GsharePredictor
 from repro.pipeline.trace import Trace
@@ -142,44 +139,35 @@ class TraceFeatures:
         )
 
 
-def _static_timing(instr, config: CoreConfig, lut: SlackLUT,
-                   tpc: int, op_width: int) -> Tuple[bool, int, int]:
+def _static_timing(instr, lut: SlackLUT, tpc: int,
+                   op_width: int) -> Tuple[bool, int, int]:
     """(transparent-capable, latency_cycles, ex_ticks) of one dynamic
-    instruction — :meth:`CoreSimulator._decode_static` semantics, with
-    the observed width standing in for the width predictor (its
-    mispredict replays are noise the calibration absorbs)."""
-    op = instr.op
-    cls = instr.cls
-    if cls is OpClass.ALU:
-        if op in ARITH_OPS:
-            return True, 1, lut.ex_time(instr, op_width)
-        return True, 1, lut.ex_time(instr)
-    if cls is OpClass.SIMD:
-        if op in SIMD_SINGLE_CYCLE_OPS:
-            return True, 1, lut.ex_time(instr)
-        if op in SIMD_ACCUMULATE_OPS:
-            return True, config.simd_multicycle_latency, lut.ex_time(instr)
-        return False, config.simd_multicycle_latency, tpc
-    if cls is OpClass.MUL:
-        return False, config.mul_latency, tpc
-    if cls is OpClass.DIV:
-        return False, config.div_latency, tpc
-    if cls is OpClass.FP:
-        return False, (config.fdiv_latency if op is Opcode.FDIV
-                       else config.fp_latency), tpc
-    # BRANCH / LOAD / STORE / NOP / HALT
-    return False, 1, tpc
+    instruction — the compiled engine's decode table with recycling
+    on, with the observed width standing in for the width predictor
+    (its mispredict replays are noise the calibration absorbs)."""
+    # imported here, not at module level, so that importing the
+    # predictor (the serve daemon does, for inline estimates) does not
+    # load the compiled engine
+    from repro.core.compiled import decode_static
+
+    transparent, latency, ex, width_dynamic = decode_static(
+        instr, True, lut, tpc)
+    if width_dynamic:
+        ex = lut.ex_time(instr, op_width)
+    return transparent, latency, ex
 
 
 def extract_features(trace: Trace, config: CoreConfig, *,
                      window: Optional[int] = None) -> TraceFeatures:
     """Walk *trace* once under *config*'s timing parameters.
 
-    The inputs that matter are the timing base (``ticks_per_cycle``,
-    ``tech``, ``pvt_scale``), the multi-cycle latencies, the memory
-    hierarchy, the redirect penalty and the reorder window — the
-    recycle mode is *not* an input: all three per-mode critical paths
-    come out of the same walk.
+    The config inputs that matter are the timing base
+    (``ticks_per_cycle``, ``tech``, ``pvt_scale``), the memory
+    hierarchy, the front width and the reorder window; the multi-cycle
+    latencies, redirect penalty and taken-branch limit are the
+    :mod:`repro.core.config` constants.  The recycle mode is *not* an
+    input: all three per-mode critical paths come out of the same
+    walk.
 
     *window* (defaults to ``config.rob_size``) sets the reorder-buffer
     constraint; pass ``window=0`` to disable it and measure the pure
@@ -193,7 +181,7 @@ def extract_features(trace: Trace, config: CoreConfig, *,
     mem = MemoryHierarchy(config.memory)
     branch_pred = GsharePredictor()
     l1_latency = config.memory.l1_latency
-    penalty = config.mispredict_penalty
+    penalty = MISPREDICT_PENALTY
 
     features = TraceFeatures()
     op_counts: Dict[str, int] = {}
@@ -228,7 +216,7 @@ def extract_features(trace: Trace, config: CoreConfig, *,
     # the branch chains separating epochs, which matters most on
     # narrow cores
     front_width = max(1, config.front_width)
-    taken_limit = config.taken_branches_per_cycle + 1
+    taken_limit = TAKEN_BRANCHES_PER_CYCLE + 1
     fc_b = fc_r = fc_m = 0
     slots_b = slots_r = slots_m = 0
     tk_b = tk_r = tk_m = 0
@@ -337,12 +325,12 @@ def extract_features(trace: Trace, config: CoreConfig, *,
             memo = static_memo.get(key)
             if memo is None:
                 memo = static_memo[key] = _static_timing(
-                    instr, config, lut, tpc, entry.op_width)
+                    instr, lut, tpc, entry.op_width)
         else:
             memo = static_memo.get(id(instr))
             if memo is None:
                 memo = static_memo[id(instr)] = _static_timing(
-                    instr, config, lut, tpc, entry.op_width)
+                    instr, lut, tpc, entry.op_width)
         transparent, latency, ex = memo
 
         # source availability per mode: transparent producers hand a

@@ -27,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.core.config import CoreConfig, RecycleMode
+from repro.core.config import (
+    CoreConfig,
+    MISPREDICT_PENALTY,
+    RecycleMode,
+    TAKEN_BRANCHES_PER_CYCLE,
+)
 from repro.pipeline.trace import Trace
 
 from .chains import TraceFeatures, extract_features
@@ -84,9 +89,9 @@ def feature_vector(features: TraceFeatures, config: CoreConfig,
     front = features.n / max(1, config.front_width)
     # a fetch group ends at the (limit+1)-th taken branch, so up to
     # limit+1 taken branches share a cycle
-    taken = features.taken_branches / (config.taken_branches_per_cycle + 1)
+    taken = features.taken_branches / (TAKEN_BRANCHES_PER_CYCLE + 1)
     # +2 covers resolve latency the redirect penalty does not include
-    bmiss = features.mispredicts * (config.mispredict_penalty + 2)
+    bmiss = features.mispredicts * (MISPREDICT_PENALTY + 2)
     # independent (streaming) miss latency stalls the window; chained
     # (pointer-chase) miss latency is already serialised inside crit
     indep = features.load_extra_cycles - features.mem_chain_cycles

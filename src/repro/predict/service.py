@@ -2,15 +2,17 @@
 
 Feature extraction is the only non-trivial cost in a prediction
 (~10 ms/100k dynamic instructions), and features depend on the trace
-content plus the config fields the chain walk reads — tick base, PVT,
-multi-cycle latencies, memory hierarchy, reorder-window size, front
-width, taken-branch limit, and the mispredict penalty — but *not* on
-the recycle mode or unit counts.  So features are cached in the same
-content-addressed :class:`~repro.campaign.cache.ResultCache` directory
-the simulator results live in, keyed by (predict+model source digest,
-trace fingerprint, timing fingerprint): one cached extraction answers
-every mode variant of a workload on that core, and a warm ``estimate``
-is two small file reads plus a dot product — microseconds.
+content and the core config but *not* on the recycle mode.  So
+features are cached in the same content-addressed
+:class:`~repro.campaign.cache.ResultCache` directory the simulator
+results live in, keyed by (predict+model source digest, trace
+fingerprint, :func:`~repro.campaign.cache.config_fingerprint` of the
+config with its mode set to BASELINE): one cached extraction answers
+every mode variant of a workload on that core, on every engine, and a
+warm ``estimate`` is two small file reads plus a dot product —
+microseconds.  Keying on the whole config means no hand-kept field
+list can go stale; a config that differs in any field but its mode
+and engine extracts its own features.
 
 ``estimate_payload`` is the worker-side entry point (mirrors the shape
 of :func:`repro.serve.workers._execute_inline`); with
@@ -22,7 +24,6 @@ cold cache, and the request falls through to the worker pool.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
@@ -31,8 +32,8 @@ from typing import Any, Dict, Optional
 from repro.campaign.cache import (
     ResultCache,
     PAYLOAD_SCHEMA,
-    _canonical,
     _source_digest,
+    config_fingerprint,
     inline_trace_index_key,
     model_version,
     trace_fingerprint,
@@ -51,33 +52,15 @@ def predict_version() -> str:
     return f"{model_version()}|predict:{_source_digest(('predict',))}"
 
 
-def timing_fingerprint(config: CoreConfig) -> str:
-    """Digest of the config fields feature extraction depends on."""
-    blob = json.dumps(_canonical({
-        "ticks_per_cycle": config.ticks_per_cycle,
-        "tech": config.tech,
-        "pvt_scale": config.pvt_scale,
-        "memory": config.memory,
-        "mul_latency": config.mul_latency,
-        "div_latency": config.div_latency,
-        "fp_latency": config.fp_latency,
-        "fdiv_latency": config.fdiv_latency,
-        "simd_multicycle_latency": config.simd_multicycle_latency,
-        "rob_size": config.rob_size,
-        "front_width": config.front_width,
-        "taken_branches_per_cycle": config.taken_branches_per_cycle,
-        "mispredict_penalty": config.mispredict_penalty,
-    }), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def feature_key(fingerprint: str, config: CoreConfig) -> str:
-    """Cache key of one trace's extracted features under *config*."""
+    """Cache key of one trace's extracted features under *config*: the
+    same for every mode and engine of one core."""
     sha = hashlib.sha256()
     sha.update(predict_version().encode())
     sha.update(b"|features|")
     sha.update(fingerprint.encode())
-    sha.update(timing_fingerprint(config).encode())
+    sha.update(config_fingerprint(
+        config.with_mode(RecycleMode.BASELINE)).encode())
     return sha.hexdigest()[:32]
 
 

@@ -1,6 +1,6 @@
 """Cache keys: stability, invalidation, result round-trips."""
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,11 +15,12 @@ from repro.campaign.cache import (
     trace_fingerprint,
     trace_index_key,
 )
-from repro.core import CORES, ENGINES, RecycleMode, simulate
+from repro.core import CORES, ENGINES, CoreConfig, RecycleMode, simulate
 from repro.isa.opcodes import Cond, Opcode, ShiftOp, SimdType
 from repro.isa.registers import r
 from repro.pipeline.trace import Trace, generate_trace
 from repro.workloads.suites import SUITES
+from tests.config_variants import FIELD_VARIANTS
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +172,15 @@ class TestKeyInvalidation:
         assert result_key(tiny_trace, config, salt="vNext") != \
             result_key(tiny_trace, config)
 
-    def test_config_fingerprint_covers_nested_dataclasses(self, config):
-        slow_mem = config.variant(
-            memory=config.memory.__class__(l1_latency=9))
-        assert config_fingerprint(slow_mem) != config_fingerprint(config)
+    @pytest.mark.parametrize("name", [f.name for f in fields(CoreConfig)
+                                      if f.name != "engine"])
+    def test_config_fingerprint_covers_every_field(self, config, name):
+        # nested dataclasses (memory, tech) included: the feature cache
+        # keys on this digest too, so a field it misses would serve
+        # features extracted under another config
+        other = replace(config, **{name: FIELD_VARIANTS[name]})
+        assert getattr(other, name) != getattr(config, name)
+        assert config_fingerprint(other) != config_fingerprint(config)
 
     def test_trace_index_key_dimensions(self):
         base = trace_index_key("ml", "pool0")
