@@ -10,7 +10,7 @@ cycles (the paper's Fig. 4/5 pictures, regenerated from a live run).
 Run:  python examples/chain_visualizer.py
 """
 
-from repro.analysis.timeline import render_uops
+from repro.analysis.timeline import render_exec_windows
 from repro.core import BIG, RecycleMode
 from repro.core.audit import _RecordingSimulator
 from repro.isa import assemble_text
@@ -35,10 +35,10 @@ def run(mode):
     sim = _RecordingSimulator(trace, BIG.with_mode(mode))
     result = sim.run()
     # pick a steady-state slice of the chain ops
-    chain = [u for u in sim.issued_log
-             if u.instr.op.name in ("EOR", "ADD", "ROR")
-             and 20 <= u.seq <= 40]
-    chain.sort(key=lambda u: u.seq)
+    chain = [w for w in sim.windows
+             if w.data["op"] in ("EOR", "ADD", "ROR")
+             and 20 <= w.seq <= 40]
+    chain.sort(key=lambda w: w.seq)
     return result, chain
 
 
@@ -47,7 +47,7 @@ def main():
         result, chain = run(mode)
         print(f"\n=== {mode.value}: {result.cycles} cycles "
               f"(IPC {result.ipc:.2f}) ===")
-        print(render_uops(chain, limit=12))
+        print(render_exec_windows(chain, limit=12))
     print("\nIn the ReDSOC timeline, each op begins the instant its "
           "producer's output\nstabilises (mid-cycle), and ops whose "
           "window crosses a clock edge hold\ntheir FU for two cycles — "

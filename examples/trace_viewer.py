@@ -19,6 +19,7 @@ from repro.core.cpu import CoreSimulator
 from repro.obs import (
     EventKind,
     Recorder,
+    run_metrics,
     write_chrome_trace,
     write_events_jsonl,
     write_metrics_jsonl,
@@ -42,7 +43,8 @@ def main():
                                     out_dir / "flex-arith.trace.json")
     events_path = write_events_jsonl(recorder.events,
                                      out_dir / "flex-arith.events.jsonl")
-    metrics_path = write_metrics_jsonl(sim.metrics,
+    metrics = run_metrics(result.stats, recorder.events)
+    metrics_path = write_metrics_jsonl(metrics,
                                        out_dir / "flex-arith.metrics.jsonl")
     print(f"wrote {trace_path} (open at https://ui.perfetto.dev)")
     print(f"wrote {events_path}")
@@ -70,7 +72,7 @@ def main():
               f"{slack_ticks:>4}t  {window:<14} "
               f"{'yes' if d['recycled'] else 'no'}")
 
-    hist = sim.metrics.histograms["slack.per_op"]
+    hist = metrics.histograms["slack.per_op"]
     print(f"\nslack/op over the whole run: mean {hist.mean:.2f} ticks, "
           f"p50 {hist.percentile(0.5)}, max {hist.max} "
           f"(of {tpc}/cycle)")

@@ -2,7 +2,7 @@
 
 from .critical_path import CriticalPathResult, analyze_critical_path
 from .power import DVFSModel, power_savings_from_speedup
-from .timeline import Window, render_uops, render_windows
+from .timeline import Window, render_exec_windows, render_windows
 from .stats import (
     HIGH_SLACK_FRACTION,
     OP_CLASSES,
@@ -15,5 +15,5 @@ __all__ = [
     "CriticalPathResult", "DVFSModel", "HIGH_SLACK_FRACTION",
     "OP_CLASSES", "OpDistribution", "analyze_critical_path",
     "SimStats", "Window", "power_savings_from_speedup",
-    "render_uops", "render_windows", "speedup",
+    "render_exec_windows", "render_windows", "speedup",
 ]

@@ -45,10 +45,6 @@ class CriticalPathResult:
             return 0.0
         return self.synchronous_ticks / self.transparent_ticks - 1.0
 
-    def synchronous_cycles(self, base: TickBase = DEFAULT_TICK_BASE
-                           ) -> float:
-        return self.synchronous_ticks / base.ticks_per_cycle
-
 
 #: fixed chain costs (cycles) for non-recyclable classes on the ideal
 #: machine; memory is charged an L1 hit (the bound intentionally ignores

@@ -10,7 +10,8 @@ the paper uses to explain slack recycling::
 
 Each ``#`` is one tick of real computation; the vertical bars are clock
 edges.  Used by the examples and handy when debugging scheduler changes:
-``render_uops`` works directly off the auditor's recorded uop log.
+``render_exec_windows`` draws the EXEC_WINDOW events of a traced run, of
+a loaded ``events.jsonl`` or of the auditor's recorded windows.
 """
 
 from __future__ import annotations
@@ -76,22 +77,25 @@ def render_windows(windows: Sequence[Window], *,
     return "\n".join(lines)
 
 
-def render_uops(uops: Iterable, *, base: TickBase = DEFAULT_TICK_BASE,
-                limit: int = 24, from_cycle: Optional[int] = None,
-                to_cycle: Optional[int] = None) -> str:
-    """Render recorded simulator uops (e.g. the audit log) directly."""
-    windows: List[Window] = []
-    for uop in uops:
-        if len(windows) >= limit:
+def render_exec_windows(windows: Iterable, *,
+                        base: TickBase = DEFAULT_TICK_BASE,
+                        limit: int = 24, from_cycle: Optional[int] = None,
+                        to_cycle: Optional[int] = None) -> str:
+    """Render EXEC_WINDOW events (the audit simulator's ``windows``, or
+    those of a recorded or loaded event stream)."""
+    rows: List[Window] = []
+    for event in windows:
+        if len(rows) >= limit:
             break
+        d = event.data
         note = []
-        if uop.extra_cycle_hold:
+        if d["hold"]:
             note.append("holds FU 2 cycles")
-        if uop.gp_issued:
+        if d["eager"]:
             note.append("eager issue")
-        windows.append(Window(
-            label=f"#{uop.seq} {uop.instr.op.name.lower()}",
-            start_tick=uop.start_tick, end_tick=uop.end_tick,
+        rows.append(Window(
+            label=f"#{event.seq} {d['op'].lower()}",
+            start_tick=d["start"], end_tick=d["end"],
             note=", ".join(note)))
-    return render_windows(windows, base=base, from_cycle=from_cycle,
+    return render_windows(rows, base=base, from_cycle=from_cycle,
                           to_cycle=to_cycle)

@@ -34,12 +34,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-LOG = logging.getLogger(__name__)
-
 from repro.analysis.stats import OpDistribution, SimStats
 from repro.core.config import CoreConfig
 from repro.core.cpu import SimResult, simulate
 from repro.pipeline.trace import Trace
+
+LOG = logging.getLogger(__name__)
 
 #: bump to force a cold cache even when no source file changed
 #: (e.g. after a semantics-preserving refactor you do not trust yet),

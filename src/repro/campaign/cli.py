@@ -41,8 +41,8 @@ from typing import List, Optional
 
 from repro.core import ENGINES
 from repro.core.cpu import CoreSimulator, simulate
-from repro.obs import Recorder, write_chrome_trace, write_events_jsonl, \
-    write_metrics_jsonl
+from repro.obs import Recorder, run_metrics, write_chrome_trace, \
+    write_events_jsonl, write_metrics_jsonl
 
 from .cache import ResultCache, default_cache_dir
 from .jobs import (
@@ -308,8 +308,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     job = parse_jobspec(args.job, scale=args.scale)
     recorder = Recorder()
-    sim = CoreSimulator(job_trace(job), job_config(job), obs=recorder)
-    result = sim.run()
+    result = CoreSimulator(job_trace(job), job_config(job),
+                           obs=recorder).run()
 
     out_dir: Path = args.out_dir
     slug = job_slug(job.label)
@@ -317,8 +317,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                                     out_dir / f"{slug}.trace.json")
     events_path = write_events_jsonl(recorder.events,
                                      out_dir / f"{slug}.events.jsonl")
-    metrics_path = write_metrics_jsonl(sim.metrics,
-                                       out_dir / f"{slug}.metrics.jsonl")
+    metrics_path = write_metrics_jsonl(
+        run_metrics(result.stats, recorder.events),
+        out_dir / f"{slug}.metrics.jsonl")
 
     print(f"{job.label}: {result.cycles} cycles, "
           f"ipc={result.ipc:.3f}, {len(recorder)} events")

@@ -16,21 +16,21 @@ that must hold for *every* issued operation, whatever the mode:
    (including 2-cycle holds) than it has units;
 6. **completeness** — every trace entry commits exactly once.
 
-:func:`audit_run` executes a trace under an instrumented simulator,
-re-derives all of the above from the recorded per-uop timing, and
-returns the violations (an empty list is the pass condition).  The
-integration tests sweep it across workloads, modes and cores — any
-scheduler regression that breaks a timing rule surfaces here even when
-cycle counts still look plausible.
+:func:`audit_run` executes a trace under an instrumented simulator that
+records each issued uop's EXEC_WINDOW payload
+(:func:`repro.core.cpu.exec_window`), checks all of the above over
+those records, and returns the violations (an empty list is the pass
+condition).  The integration tests sweep it across workloads, modes
+and cores — any scheduler regression that breaks a timing rule surfaces
+here even when cycle counts still look plausible.
 
-The same checks can be **replayed from a recorded event stream**:
-:func:`audit_from_events` consumes the EXEC_WINDOW / COMMIT / META
-events a traced run published (e.g. loaded back from a JSONL dump via
-:func:`repro.obs.export.read_events_jsonl`) and re-derives every rule
-without running a second simulation — the event payloads carry the
-complete per-uop timing.  ``audit_run`` additionally publishes each
-violation as a VIOLATION event when a sink is attached, so audit
-outcomes travel on the same bus as the pipeline trace.
+:func:`audit_from_events` runs the same checks over the EXEC_WINDOW /
+COMMIT / META events a traced run published (e.g. loaded back from a
+JSONL dump via :func:`repro.obs.export.read_events_jsonl`), without a
+second simulation: the rules are written once, over the record both
+paths share.  ``audit_run`` additionally publishes each violation as a
+VIOLATION event when a sink is attached, so audit outcomes travel on
+the same bus as the pipeline trace.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.config import CoreConfig, RecycleMode
-from repro.core.cpu import CoreSimulator, SimResult
-from repro.core.scheduler import consumer_avail_tick
+from repro.core.cpu import CoreSimulator, SimResult, exec_window
 from repro.core.ticks import TickBase
-from repro.isa.opcodes import OpClass
 from repro.obs.events import Event, EventKind
 from repro.pipeline.trace import Trace
-from repro.pipeline.uop import Uop
 
 
 @dataclass
@@ -71,181 +68,44 @@ class AuditResult:
 
 
 class _RecordingSimulator(CoreSimulator):
-    """CoreSimulator that keeps every issued uop for post-run checks."""
+    """CoreSimulator that records every issued uop's EXEC_WINDOW event."""
 
     def __init__(self, trace: Trace, config: CoreConfig, *,
                  obs=None) -> None:
         super().__init__(trace, config, obs=obs)
-        self.issued_log: List[Uop] = []
+        self.windows: List[Event] = []
 
     def _finalize_issue(self, uop, cycle, timing, *, eager=False):
         super()._finalize_issue(uop, cycle, timing, eager=eager)
-        self.issued_log.append(uop)
+        self.windows.append(Event(EventKind.EXEC_WINDOW, cycle, uop.seq,
+                                  exec_window(uop, cycle, timing, eager)))
 
 
-def audit_run(trace: Trace, config: CoreConfig, *,
-              obs=None) -> AuditResult:
-    """Simulate *trace* under *config* and audit every invariant.
-
-    With an event sink attached, the run is traced as usual and every
-    audit violation is additionally published as a VIOLATION event, so
-    a recorded stream carries both the timeline and its verdict.
-    """
-    sim = _RecordingSimulator(trace, config, obs=obs)
-    result = sim.run()
-    base = sim.base
+def _check(windows: Iterable[Event], base: TickBase, mode: RecycleMode,
+           pools: Dict[str, int], committed: int,
+           instructions: int) -> List[AuditViolation]:
+    """The six invariants over EXEC_WINDOW events (see module doc)."""
     violations: List[AuditViolation] = []
-
-    def flag(rule: str, uop: Uop, detail: str) -> None:
-        violations.append(AuditViolation(rule, uop.seq, detail))
-
-    occupancy: Dict[OpClass, Dict[int, int]] = defaultdict(
-        lambda: defaultdict(int))
-
-    for uop in sim.issued_log:
-        cls = uop.entry.instr.cls
-        is_mem = cls in (OpClass.LOAD, OpClass.STORE)
-
-        # 1. arrival: no computation before the FU-arrival edge (replays
-        # restart from later edges, which is also legal)
-        arrival_edge = base.cycle_start(uop.issue_cycle
-                                        + uop.latency_cycles)
-        if uop.start_tick < arrival_edge:
-            flag("arrival", uop,
-                 f"start {uop.start_tick} before arrival edge "
-                 f"{arrival_edge}")
-
-        # 2. dataflow: operands must be usable at the start instant
-        if not is_mem:
-            for src in uop.sources:
-                if src.issue_cycle is None:
-                    flag("dataflow", uop,
-                         f"source #{src.seq} never issued")
-                    continue
-                avail = consumer_avail_tick(src, uop)
-                if uop.start_tick < avail:
-                    flag("dataflow", uop,
-                         f"start {uop.start_tick} before source "
-                         f"#{src.seq} avail {avail}")
-
-        # 3. window: end = start + EX-TIME (scheduled, or the true
-        # width's EX-TIME after an aggressive-misprediction replay)
-        if not is_mem and uop.end_tick not in (
-                uop.start_tick + uop.ex_ticks,
-                uop.start_tick + uop.actual_ex_ticks):
-            flag("window", uop,
-                 f"end {uop.end_tick} inconsistent with start "
-                 f"{uop.start_tick} + ex {uop.ex_ticks}")
-
-        # 4. discipline
-        mid_cycle = uop.start_tick % base.ticks_per_cycle != 0
-        if mid_cycle and not uop.transparent:
-            flag("discipline", uop,
-                 "non-transparent op started mid-cycle")
-        if (mid_cycle
-                and config.mode is RecycleMode.BASELINE):
-            flag("discipline", uop, "baseline op started mid-cycle")
-        if (mid_cycle and config.mode is RecycleMode.MOS
-                and uop.extra_cycle_hold):
-            flag("discipline", uop, "MOS op crossed a clock edge")
-
-        # 5. capacity bookkeeping
-        start_cycle = base.cycle_of(uop.start_tick)
-        occupancy[uop.fu_class][start_cycle] += 1
-        if uop.extra_cycle_hold:
-            occupancy[uop.fu_class][start_cycle + 1] += 1
-
-    pools = {cls: pool.count for cls, pool in sim.res.pools.items()}
-    for cls, cycles in occupancy.items():
-        limit = pools.get(cls)
-        if limit is None:
-            continue
-        for cycle, used in cycles.items():
-            if used > limit:
-                violations.append(AuditViolation(
-                    "capacity", -1,
-                    f"{cls.value} used {used}/{limit} units in cycle "
-                    f"{cycle}"))
-
-    # 6. completeness
-    if result.stats.committed != len(trace.entries):
-        violations.append(AuditViolation(
-            "completeness", -1,
-            f"committed {result.stats.committed} of "
-            f"{len(trace.entries)}"))
-
-    if obs is not None:
-        for violation in violations:
-            obs.emit(Event(EventKind.VIOLATION, -1, violation.seq, {
-                "rule": violation.rule, "detail": violation.detail,
-            }))
-
-    return AuditResult(result=result, violations=violations,
-                       audited_uops=len(sim.issued_log))
-
-
-@dataclass
-class ReplayAuditResult:
-    """Outcome of auditing a recorded event stream (no simulation)."""
-
-    violations: List[AuditViolation] = field(default_factory=list)
-    audited_uops: int = 0
-    committed: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def audit_from_events(events: Iterable[Event]) -> ReplayAuditResult:
-    """Re-derive the full timing audit from a recorded event stream.
-
-    Consumes the stream a traced run published (META + EXEC_WINDOW +
-    COMMIT carry everything the live auditor reads off its uop log) and
-    checks the same six invariants, rule for rule.  The integration
-    tests assert this agrees exactly with :func:`audit_run` on live
-    simulations, which is what makes a JSONL dump a *sufficient*
-    artefact for post-hoc debugging: no re-simulation needed.
-    """
-    violations: List[AuditViolation] = []
-    meta: Optional[Dict] = None
     occupancy: Dict[str, Dict[int, int]] = defaultdict(
         lambda: defaultdict(int))
-    audited = 0
-    committed = 0
 
     def flag(rule: str, seq: int, detail: str) -> None:
         violations.append(AuditViolation(rule, seq, detail))
 
-    exec_events: List[Event] = []
-    for event in events:
-        if event.kind is EventKind.META:
-            meta = event.data
-        elif event.kind is EventKind.EXEC_WINDOW:
-            exec_events.append(event)
-        elif event.kind is EventKind.COMMIT:
-            committed += 1
-
-    if meta is None:
-        raise ValueError("event stream has no META event "
-                         "(not a recorded simulation trace?)")
-    base = TickBase(ticks_per_cycle=meta["ticks_per_cycle"])
-    mode = RecycleMode(meta["mode"])
-
-    for event in exec_events:
-        audited += 1
+    for event in windows:
         d = event.data
         seq = event.seq
         is_mem = d["mem"]
 
-        # 1. arrival
+        # 1. arrival: no computation before the FU-arrival edge (replays
+        # restart from later edges, which is also legal)
         arrival_edge = base.cycle_start(d["issue"] + d["lat"])
         if d["start"] < arrival_edge:
             flag("arrival", seq,
                  f"start {d['start']} before arrival edge "
                  f"{arrival_edge}")
 
-        # 2. dataflow
+        # 2. dataflow: operands must be usable at the start instant
         if not is_mem:
             for src_seq, avail in d["srcs"]:
                 if avail is None:
@@ -256,7 +116,8 @@ def audit_from_events(events: Iterable[Event]) -> ReplayAuditResult:
                          f"start {d['start']} before source "
                          f"#{src_seq} avail {avail}")
 
-        # 3. window
+        # 3. window: end = start + EX-TIME (scheduled, or the true
+        # width's EX-TIME after an aggressive-misprediction replay)
         if not is_mem and d["end"] not in (d["start"] + d["ex"],
                                            d["start"] + d["ex_actual"]):
             flag("window", seq,
@@ -279,7 +140,6 @@ def audit_from_events(events: Iterable[Event]) -> ReplayAuditResult:
         if d["hold"]:
             occupancy[d["fu"]][start_cycle + 1] += 1
 
-    pools = meta.get("pools", {})
     for fu, cycles in occupancy.items():
         limit = pools.get(fu)
         if limit is None:
@@ -292,10 +152,76 @@ def audit_from_events(events: Iterable[Event]) -> ReplayAuditResult:
                     f"{cycle}"))
 
     # 6. completeness
-    total = meta["instructions"]
-    if committed != total:
+    if committed != instructions:
         violations.append(AuditViolation(
-            "completeness", -1, f"committed {committed} of {total}"))
+            "completeness", -1,
+            f"committed {committed} of {instructions}"))
+    return violations
 
-    return ReplayAuditResult(violations=violations, audited_uops=audited,
+
+def audit_run(trace: Trace, config: CoreConfig, *,
+              obs=None) -> AuditResult:
+    """Simulate *trace* under *config* and audit every invariant.
+
+    With an event sink attached, the run is traced as usual and every
+    audit violation is additionally published as a VIOLATION event, so
+    a recorded stream carries both the timeline and its verdict.
+    """
+    sim = _RecordingSimulator(trace, config, obs=obs)
+    result = sim.run()
+    pools = {cls.value: pool.count for cls, pool in sim.res.pools.items()}
+    violations = _check(sim.windows, sim.base, config.mode, pools,
+                        result.stats.committed, len(trace.entries))
+
+    if obs is not None:
+        for violation in violations:
+            obs.emit(Event(EventKind.VIOLATION, -1, violation.seq, {
+                "rule": violation.rule, "detail": violation.detail,
+            }))
+
+    return AuditResult(result=result, violations=violations,
+                       audited_uops=len(sim.windows))
+
+
+@dataclass
+class ReplayAuditResult:
+    """Outcome of auditing a recorded event stream (no simulation)."""
+
+    violations: List[AuditViolation] = field(default_factory=list)
+    audited_uops: int = 0
+    committed: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def audit_from_events(events: Iterable[Event]) -> ReplayAuditResult:
+    """Re-derive the full timing audit from a recorded event stream.
+
+    Consumes the stream a traced run published (META + EXEC_WINDOW +
+    COMMIT) and runs the same checks :func:`audit_run` runs on its own
+    recorded windows.  That makes a JSONL dump a *sufficient* artefact
+    for post-hoc debugging: no re-simulation needed.
+    """
+    meta: Optional[Dict] = None
+    windows: List[Event] = []
+    committed = 0
+    for event in events:
+        if event.kind is EventKind.META:
+            meta = event.data
+        elif event.kind is EventKind.EXEC_WINDOW:
+            windows.append(event)
+        elif event.kind is EventKind.COMMIT:
+            committed += 1
+
+    if meta is None:
+        raise ValueError("event stream has no META event "
+                         "(not a recorded simulation trace?)")
+    violations = _check(windows,
+                        TickBase(ticks_per_cycle=meta["ticks_per_cycle"]),
+                        RecycleMode(meta["mode"]), meta.get("pools", {}),
+                        committed, meta["instructions"])
+    return ReplayAuditResult(violations=violations,
+                             audited_uops=len(windows),
                              committed=committed)

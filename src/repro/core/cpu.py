@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.analysis.stats import HIGH_SLACK_FRACTION, SimStats
 from repro.obs.events import Event, EventKind
-from repro.obs.metrics import MetricsRegistry
 from repro.isa.opcodes import (
     ARITH_OPS,
     Cond,
@@ -72,7 +71,6 @@ from .scheduler import (
     eager_issue_allowed,
     last_source_avail,
     other_sources_ready,
-    unissued_sources,
     wake_cycle,
 )
 from .slack_lut import SlackLUT
@@ -109,7 +107,6 @@ class CoreSimulator:
         #: guarded by a single `is None` check so the untraced hot loop
         #: does the same work as an uninstrumented simulator)
         self.obs = obs
-        self.metrics = MetricsRegistry()
         self.base = TickBase(config.ticks_per_cycle, config.tech)
         self.lut = SlackLUT(self.base, pvt_scale=config.pvt_scale)
         self.width_pred = WidthPredictor()
@@ -170,9 +167,6 @@ class CoreSimulator:
         #: baseline mode or the Illustrative scheduler design
         self._watch_all = (config.mode is RecycleMode.BASELINE
                            or config.scheduler is SchedulerDesign.ILLUSTRATIVE)
-        # per-class issue tally as a plain list (folded into the
-        # enum-keyed FUStats dict once at the end of run())
-        self._issue_counts: List[int] = [0] * len(OPCLASS_INDEX)
 
         if obs is not None:
             # propagate the sink into the sub-models that publish their
@@ -204,11 +198,6 @@ class CoreSimulator:
                     f"simulation wedged: {self._committed}/{total} "
                     f"committed after {self.cycle} cycles "
                     f"(trace {self.trace.name!r})")
-        issues = self.res.stats.issues
-        for op_class, idx in OPCLASS_INDEX.items():
-            if self._issue_counts[idx]:
-                issues[op_class] += self._issue_counts[idx]
-        self._issue_counts = [0] * len(OPCLASS_INDEX)
         self._finalize()
         return SimResult(name=self.trace.name, config=self.config,
                          stats=self.stats)
@@ -264,32 +253,22 @@ class CoreSimulator:
             self._threshold = self._probe_plan.pop(0)
 
     def _finalize(self) -> None:
-        """Publish end-of-run results through the metrics registry.
-
-        The registry is the single source of truth: gauges below flow
-        into :class:`SimStats` via its declared mapping, the hot-loop
-        counters flow back out, and exporters snapshot the registry.
-        """
-        m = self.metrics
+        """Copy the end-of-run predictor, sequence and branch results
+        into stats (the compiled engine sets the same fields)."""
+        stats = self.stats
         wstats = self.width_pred.stats
-        m.gauge("predict.width.aggressive_rate").set(
-            wstats.aggressive_rate)
-        m.gauge("predict.width.accuracy").set(wstats.accuracy)
+        stats.width_aggressive_rate = wstats.aggressive_rate
+        stats.width_accuracy = wstats.accuracy
         lstats = self.la_pred.stats
-        m.gauge("predict.la.misprediction_rate").set(
-            lstats.misprediction_rate)
-        m.gauge("predict.la.predictions").set(lstats.predictions)
-        m.gauge("predict.la.mispredictions").set(lstats.mispredictions)
-        m.gauge("seq.expected_length").set(
-            self.sequences.expected_length())
-        m.gauge("seq.mean_length").set(self.sequences.mean_length())
-        m.gauge("seq.count").set(self.sequences.num_sequences)
+        stats.la_misprediction_rate = lstats.misprediction_rate
+        stats.la_predictions = lstats.predictions
+        stats.la_mispredictions = lstats.mispredictions
+        stats.seq_expected_length = self.sequences.expected_length()
+        stats.seq_mean_length = self.sequences.mean_length()
+        stats.num_sequences = self.sequences.num_sequences
         bstats = self.branch_pred.stats
-        m.gauge("front.branches").set(bstats.predictions)
-        m.gauge("front.branch_mispredicts").set(bstats.mispredictions)
-        self.stats.populate_from(m)
-        self.stats.export_counters(m)
-        m.gauge("core.ipc").set(self.stats.ipc)
+        stats.branches = bstats.predictions
+        stats.branch_mispredicts = bstats.mispredictions
 
     # ------------------------------------------------------------------
     # commit
@@ -532,13 +511,10 @@ class CoreSimulator:
         uop.end_tick = timing.end_tick
         uop.avail_tick = timing.avail_tick
         uop.sync_avail = timing.sync_avail_tick
-        uop.extra_cycle_hold = timing.extra_cycle_hold
         uop.done_cycle = base.cycle_of(timing.sync_avail_tick)
-        self._issue_counts[uop.cls_idx] += 1
         if timing.extra_cycle_hold:
             self.stats.two_cycle_holds += 1
         if eager:
-            uop.gp_issued = True
             self.stats.eager_issues += 1
         if uop.transparent:
             if timing.recycled:
@@ -560,41 +536,10 @@ class CoreSimulator:
 
     def _emit_issue(self, uop: Uop, cycle: int, timing, *,
                     eager: bool) -> None:
-        """Publish the resolved execution window (traced runs only).
-
-        The EXEC_WINDOW payload is deliberately complete: it carries
-        everything :func:`repro.core.audit.audit_from_events` needs to
-        re-derive the full timing audit from a recorded stream, and
-        everything the Perfetto exporter renders per slice.
-        """
+        """Publish the resolved execution window (traced runs only)."""
         obs = self.obs
-        base = self.base
-        instr = uop.entry.instr
-        is_mem = instr.cls in (OpClass.LOAD, OpClass.STORE)
-        srcs = []
-        for src in uop.sources:
-            if src.issue_cycle is None:
-                srcs.append([src.seq, None])
-            else:
-                srcs.append([src.seq, consumer_avail_tick(src, uop)])
-        obs.emit(Event(EventKind.EXEC_WINDOW, cycle, uop.seq, {
-            "op": instr.op.name,
-            "fu": uop.fu_class.value,
-            "issue": cycle,
-            "lat": uop.latency_cycles,
-            "start": timing.start_tick,
-            "end": timing.end_tick,
-            "avail": timing.avail_tick,
-            "sync": timing.sync_avail_tick,
-            "ex": uop.ex_ticks,
-            "ex_actual": uop.actual_ex_ticks,
-            "transparent": uop.transparent,
-            "recycled": timing.recycled,
-            "hold": timing.extra_cycle_hold,
-            "eager": eager,
-            "mem": is_mem,
-            "srcs": srcs,
-        }))
+        obs.emit(Event(EventKind.EXEC_WINDOW, cycle, uop.seq,
+                       exec_window(uop, cycle, timing, eager)))
         if eager:
             obs.emit(Event(EventKind.GP_GRANT, cycle, uop.seq,
                            {"tick": timing.start_tick}))
@@ -605,16 +550,6 @@ class CoreSimulator:
             }))
         obs.emit(Event(EventKind.WRITEBACK, uop.done_cycle, uop.seq,
                        {"tick": timing.sync_avail_tick}))
-        # tick-resolution latency/slack distributions (traced runs)
-        m = self.metrics
-        m.histogram("lat.issue_to_execute").observe(
-            timing.start_tick - base.cycle_start(cycle))
-        if not is_mem and uop.latency_cycles == 1:
-            m.histogram("slack.per_op").observe(
-                max(0, base.ticks_per_cycle - uop.actual_ex_ticks))
-        if timing.recycled:
-            m.histogram("recycle.start_offset").observe(
-                base.tick_in_cycle(timing.start_tick))
 
     def _issue_load(self, uop: Uop, cycle: int) -> str:
         base = self.base
@@ -1030,6 +965,43 @@ class CoreSimulator:
                     taken_seen += 1
                     if taken_seen > TAKEN_BRANCHES_PER_CYCLE:
                         break
+
+
+def exec_window(uop: Uop, cycle: int, timing, eager: bool) -> dict:
+    """The EXEC_WINDOW payload of *uop*, issued in *cycle* with *timing*.
+
+    The one per-uop record that everything derived from a run reads:
+    the audit (:mod:`repro.core.audit`), the Perfetto slices and tick
+    histograms (:mod:`repro.obs.export`) and the ASCII timeline
+    (:mod:`repro.analysis.timeline`).  ``_try_issue`` replays a uop
+    that still has an unissued source, so every source window is final
+    when this is built.
+    """
+    instr = uop.entry.instr
+    srcs = []
+    for src in uop.sources:
+        if src.issue_cycle is None:
+            srcs.append([src.seq, None])
+        else:
+            srcs.append([src.seq, consumer_avail_tick(src, uop)])
+    return {
+        "op": instr.op.name,
+        "fu": uop.fu_class.value,
+        "issue": cycle,
+        "lat": uop.latency_cycles,
+        "start": timing.start_tick,
+        "end": timing.end_tick,
+        "avail": timing.avail_tick,
+        "sync": timing.sync_avail_tick,
+        "ex": uop.ex_ticks,
+        "ex_actual": uop.actual_ex_ticks,
+        "transparent": uop.transparent,
+        "recycled": timing.recycled,
+        "hold": timing.extra_cycle_hold,
+        "eager": eager,
+        "mem": instr.cls in (OpClass.LOAD, OpClass.STORE),
+        "srcs": srcs,
+    }
 
 
 class _LoadTiming:

@@ -10,10 +10,12 @@ drives each cycle:
   select-eligible when their *watched* tags have broadcast (all sources
   in the Illustrative design / baseline; only the predicted-last parent
   in the Operational design);
-* :class:`GPCandidate` collection — Eager Grandparent Wakeup: children
-  that may issue *in the same cycle as their parent* to catch its slack
-  (Sec. IV-B), subject to the slack-threshold condition (Sec. IV-C
-  step 10) and, under MOS, the single-cycle fit condition.
+* :func:`eager_issue_allowed` / :func:`other_sources_ready` — the
+  Eager Grandparent Wakeup grant checks: whether a child may issue *in
+  the same cycle as its parent* to catch its slack (Sec. IV-B), subject
+  to the slack-threshold condition (Sec. IV-C step 10) and, under MOS,
+  the single-cycle fit condition.  The simulator collects the
+  candidates (``CoreSimulator._gp_candidates``).
 
 Selection itself (oldest-first, skewed) lives in
 :mod:`repro.core.select`.
@@ -167,10 +169,6 @@ class ReadyQueues:
             return
         uop.in_ready = False
         self._dead[uop.cls_idx] += 1
-
-    def has_any_pending(self) -> bool:
-        return any(u.in_ready and u.state is UopState.DISPATCHED
-                   for queue in self._queues for u in queue)
 
 
 def eager_issue_allowed(parent: Uop, child: Uop, *, mode: RecycleMode,

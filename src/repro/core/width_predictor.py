@@ -45,10 +45,6 @@ class WidthPredictorStats:
         return self.aggressive / self.lookups if self.lookups else 0.0
 
     @property
-    def conservative_rate(self) -> float:
-        return self.conservative / self.lookups if self.lookups else 0.0
-
-    @property
     def accuracy(self) -> float:
         return self.exact / self.lookups if self.lookups else 0.0
 

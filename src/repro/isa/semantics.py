@@ -36,9 +36,6 @@ class Memory:
     def read_byte(self, addr: int) -> int:
         return self._bytes.get(addr, 0)
 
-    def write_byte(self, addr: int, value: int) -> None:
-        self._bytes[addr] = value & 0xFF
-
     def read(self, addr: int, size: int) -> int:
         """Read *size* bytes at *addr*, little-endian."""
         value = 0

@@ -116,7 +116,3 @@ class MemoryHierarchy:
     @property
     def l1_stats(self) -> CacheStats:
         return self.l1.stats
-
-    @property
-    def l2_stats(self) -> CacheStats:
-        return self.l2.stats

@@ -10,14 +10,18 @@
   a single ``is None`` check, so an untraced run is bit-identical (in
   cycles *and* wall-clock shape) to an uninstrumented one.
 * :mod:`repro.obs.metrics` — a metrics registry (counters, gauges,
-  tick-resolution histograms) that :class:`~repro.analysis.stats.SimStats`
-  populates through at the end of a run.
+  tick-resolution histograms).
 * :mod:`repro.obs.export` — JSONL event dumps, Chrome trace-event /
   Perfetto JSON (one track per FU class, one tick-precise slice per
-  uop execution window), and metrics snapshots.
+  uop execution window), and :func:`~repro.obs.export.run_metrics`, a
+  run's registry built from its :class:`~repro.analysis.stats.SimStats`
+  and its EXEC_WINDOW events.  The EXEC_WINDOW payload
+  (:func:`repro.core.cpu.exec_window`) is the one per-uop record the
+  Perfetto slices, the histograms, the audit and the ASCII timeline all
+  read.
 
-Audit-trace *replay* (re-deriving :func:`repro.core.audit.audit_run`'s
-invariant checks from a recorded event stream) lives in
+Audit-trace *replay* (running :func:`repro.core.audit.audit_run`'s
+invariant checks over a recorded event stream) lives in
 :mod:`repro.core.audit` next to the live auditor.
 
 The *service* layers (repro.serve, repro.campaign) observe through
@@ -47,6 +51,7 @@ from .export import (
     chrome_trace,
     metrics_to_jsonl,
     read_events_jsonl,
+    run_metrics,
     write_chrome_trace,
     write_events_jsonl,
     write_metrics_jsonl,
@@ -83,7 +88,7 @@ __all__ = [
     "TickHistogram", "TraceContext", "Tracer", "check_report",
     "chrome_trace", "histogram_quantile", "merge_chrome_traces",
     "metrics_to_jsonl", "parse_prometheus", "read_events_jsonl",
-    "span_trees", "spans_chrome_trace", "stderr_logger",
+    "run_metrics", "span_trees", "spans_chrome_trace", "stderr_logger",
     "validate_spans", "write_chrome_trace", "write_events_jsonl",
     "write_metrics_jsonl",
 ]

@@ -1,5 +1,10 @@
 """Exporters: JSONL event dumps, Chrome trace-event JSON, metrics.
 
+Every per-uop artifact here reads the EXEC_WINDOW record
+(:func:`repro.core.cpu.exec_window`): the Perfetto slices below and the
+tick histograms of :func:`run_metrics`, which also mirrors a run's
+:class:`~repro.analysis.stats.SimStats` as counters and gauges.
+
 The Chrome trace-event output follows the (Perfetto-compatible) JSON
 array format: ``{"traceEvents": [...]}`` where
 
@@ -22,12 +27,44 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence, Union
 
 from .events import Event, EventKind, events_from_jsonl
 from .metrics import MetricsRegistry
 
+if TYPE_CHECKING:
+    from repro.analysis.stats import SimStats
+
 PathLike = Union[str, Path]
+
+#: gauge name → SimStats field: values computed once at the end of a run
+GAUGE_FIELDS: Dict[str, str] = {
+    "predict.width.aggressive_rate": "width_aggressive_rate",
+    "predict.width.accuracy": "width_accuracy",
+    "predict.la.misprediction_rate": "la_misprediction_rate",
+    "predict.la.predictions": "la_predictions",
+    "predict.la.mispredictions": "la_mispredictions",
+    "seq.expected_length": "seq_expected_length",
+    "seq.mean_length": "seq_mean_length",
+    "seq.count": "num_sequences",
+    "front.branches": "branches",
+    "front.branch_mispredicts": "branch_mispredicts",
+}
+
+#: counter name → SimStats field: counts the engine keeps during the run
+COUNTER_FIELDS: Dict[str, str] = {
+    "core.cycles": "cycles",
+    "core.committed": "committed",
+    "sched.recycled_ops": "recycled_ops",
+    "sched.eager_issues": "eager_issues",
+    "sched.two_cycle_holds": "two_cycle_holds",
+    "sched.fu_stall_cycles": "fu_stall_cycles",
+    "sched.dispatch_stall_cycles": "dispatch_stall_cycles",
+    "sched.gp_mispeculations": "gp_mispeculations",
+    "sched.wasted_gp_grants": "wasted_gp_grants",
+    "replay.la": "la_replays",
+    "replay.width": "width_replays",
+}
 
 #: markers rendered as instants on the owning FU track
 _FU_MARKERS = {
@@ -170,6 +207,42 @@ def write_chrome_trace(events: Sequence[Event], path: PathLike, *,
     return path
 
 
+def run_metrics(stats: "SimStats",
+                events: Iterable[Event]) -> MetricsRegistry:
+    """The metrics registry of one run.
+
+    Counters and gauges mirror *stats* (plus ``dist.<class>`` for the
+    Fig. 10 distribution and ``core.ipc``).  The tick histograms come
+    from the run's EXEC_WINDOW events, so an untraced run (no events)
+    has none: ``lat.issue_to_execute`` (start tick minus issue-cycle
+    edge), ``slack.per_op`` (single-cycle non-memory ops) and
+    ``recycle.start_offset`` (tick-in-cycle of each mid-cycle start).
+    """
+    m = MetricsRegistry()
+    for name, field in COUNTER_FIELDS.items():
+        m.counter(name).set(getattr(stats, field))
+    for op_class, count in stats.distribution.counts.items():
+        m.counter(f"dist.{op_class}").set(count)
+    for name, field in GAUGE_FIELDS.items():
+        m.gauge(name).set(getattr(stats, field))
+    m.gauge("core.ipc").set(stats.ipc)
+    tpc = None
+    for event in events:
+        if event.kind is EventKind.META:
+            tpc = event.data["ticks_per_cycle"]
+        elif event.kind is EventKind.EXEC_WINDOW:
+            d = event.data
+            m.histogram("lat.issue_to_execute").observe(
+                d["start"] - d["issue"] * tpc)
+            if not d["mem"] and d["lat"] == 1:
+                m.histogram("slack.per_op").observe(
+                    max(0, tpc - d["ex_actual"]))
+            if d["recycled"]:
+                m.histogram("recycle.start_offset").observe(
+                    d["start"] % tpc)
+    return m
+
+
 def metrics_to_jsonl(registry: MetricsRegistry) -> str:
     """Metrics registry as JSONL text (one metric per line)."""
     return "".join(json.dumps(obj, separators=(",", ":")) + "\n"
@@ -235,7 +308,8 @@ def exec_slices(doc: Dict[str, Any]) -> Dict[int, Dict[str, int]]:
 
 # re-exported for __init__ convenience
 __all__ = [
-    "chrome_trace", "exec_slices", "load_chrome_trace",
-    "metrics_to_jsonl", "read_events_jsonl", "validate_chrome_trace",
-    "write_chrome_trace", "write_events_jsonl", "write_metrics_jsonl",
+    "COUNTER_FIELDS", "GAUGE_FIELDS", "chrome_trace", "exec_slices",
+    "load_chrome_trace", "metrics_to_jsonl", "read_events_jsonl",
+    "run_metrics", "validate_chrome_trace", "write_chrome_trace",
+    "write_events_jsonl", "write_metrics_jsonl",
 ]

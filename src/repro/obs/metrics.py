@@ -1,18 +1,17 @@
 """Metrics registry: counters, gauges, tick-resolution histograms.
 
-The registry is the structured home for everything a simulation can
-measure.  :class:`~repro.analysis.stats.SimStats` — the flat dataclass
-every bench and report reads — is populated *through* the registry at
-the end of a run (see ``SimStats.populate_from``), and the registry
-itself is what the exporters snapshot, so the CLI's metrics dump, the
-campaign JSON and the pytest benches all agree by construction.
+The registry is what the exporters snapshot.  A simulation's registry
+is built after the run by :func:`repro.obs.export.run_metrics`: its
+counters and gauges mirror :class:`~repro.analysis.stats.SimStats` (the
+flat dataclass every bench and report reads) under stable metric
+names, and its histograms are derived from the run's EXEC_WINDOW
+events, so the engines themselves hold no registry.  The serve stack
+keeps its own live registries (``/metrics``).
 
 Histograms are integer-bucketed at tick resolution (one bucket per
 tick value), which matches the simulator's native time base: the
 slack-per-op and issue-to-execute-latency distributions come out
-exact, not binned.  Histogram observation only happens on traced runs
-(the simulator guards it together with event emission), so the
-untraced hot loop pays nothing.
+exact, not binned.
 """
 
 from __future__ import annotations

@@ -9,29 +9,9 @@ just a per-cycle counter.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.isa.opcodes import OpClass
-
-
-@dataclass
-class FUStats:
-    """Per-class issue/stall counters (Fig. 14)."""
-
-    issues: Dict[OpClass, int] = field(
-        default_factory=lambda: defaultdict(int))
-    #: cycles in which >= 1 ready request found every unit busy
-    stall_cycles: int = 0
-    #: total cycles simulated (denominator for the stall rate)
-    cycles: int = 0
-    #: extra-cycle (2-cycle) holds taken by slack recycling
-    two_cycle_holds: int = 0
-
-    @property
-    def stall_rate(self) -> float:
-        return self.stall_cycles / self.cycles if self.cycles else 0.0
 
 
 class FUPool:
@@ -110,7 +90,6 @@ class ExecutionResources:
             OpClass.DIV: FUPool(OpClass.DIV, complex_units),
             OpClass.BRANCH: FUPool(OpClass.BRANCH, branch_units),
         }
-        self.stats = FUStats()
 
     def pool_for(self, op_class: OpClass) -> FUPool:
         return self.pools[op_class]

@@ -14,7 +14,6 @@ from .trace import TraceEntry
 class UopState(enum.Enum):
     DISPATCHED = "dispatched"   # in ROB + RS, waiting for sources
     ISSUED = "issued"           # selected, timing computed
-    DONE = "done"               # result available
     COMMITTED = "committed"
 
 
@@ -45,11 +44,9 @@ class Uop:
         "seq", "entry", "sources", "dependents", "state",
         "fu_class", "cls_idx", "in_ready", "latency_cycles", "transparent",
         "ex_ticks", "actual_ex_ticks", "predicted_width",
-        "watched_parent", "watched_grandparent", "second_predicted_last",
-        "pending_sources", "eligible_cycle", "issue_cycle",
+        "second_predicted_last", "eligible_cycle", "issue_cycle",
         "start_tick", "end_tick", "avail_tick", "sync_avail", "done_cycle",
-        "chain_id", "chain_pos", "gp_issued", "replayed",
-        "extra_cycle_hold", "waiting_on", "la_applied", "width_applied",
+        "chain_id", "replayed", "waiting_on", "la_applied", "width_applied",
         "mem_hl", "order_dep",
     )
 
@@ -71,10 +68,7 @@ class Uop:
         self.ex_ticks = 0
         self.actual_ex_ticks = 0
         self.predicted_width = 32
-        self.watched_parent: Optional["Uop"] = None
-        self.watched_grandparent: Optional["Uop"] = None
         self.second_predicted_last = True
-        self.pending_sources = 0
         self.eligible_cycle: Optional[int] = None
         self.issue_cycle: Optional[int] = None
         self.start_tick = 0
@@ -83,10 +77,7 @@ class Uop:
         self.sync_avail = 0
         self.done_cycle: Optional[int] = None
         self.chain_id: Optional[int] = None
-        self.chain_pos = 0
-        self.gp_issued = False
         self.replayed = False
-        self.extra_cycle_hold = False
         #: watched source uops that have not broadcast yet
         self.waiting_on: set = set()
         self.la_applied = False       # last-arrival prediction in use

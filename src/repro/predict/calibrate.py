@@ -160,12 +160,6 @@ def default_calibration() -> Calibration:
     return _default_cache
 
 
-def _reset_default_calibration() -> None:
-    """Test hook: drop the memoized default."""
-    global _default_cache
-    _default_cache = None
-
-
 # --------------------------------------------------------------------
 # fitting
 

@@ -25,7 +25,7 @@ predictions are additionally clamped to the baseline prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.core.config import (
     CoreConfig,

@@ -43,7 +43,7 @@ from repro.core import CORES, RecycleMode
 from repro.core.config import CoreConfig
 
 from .calibrate import Calibration, default_calibration
-from .chains import FEATURE_SCHEMA, TraceFeatures, extract_features
+from .chains import TraceFeatures, extract_features
 from .model import predict
 
 

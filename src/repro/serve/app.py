@@ -569,7 +569,6 @@ class ServeDaemon:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._shutdown_requested = False
 
     # -- blocking entry point (the CLI) --------------------------------
 

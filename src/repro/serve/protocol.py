@@ -30,7 +30,7 @@ from repro.core import CORES, ENGINES, RecycleMode
 from repro.isa.program import Program
 from repro.isa.serialize import program_from_dict, program_to_dict
 from repro.isa.textasm import assemble_text
-from repro.workloads.suites import DEFAULT_SCALES, SUITES
+from repro.workloads.suites import SUITES
 
 #: wire-format version; bump on incompatible request/response changes
 API_VERSION = 1
@@ -418,7 +418,3 @@ def parse_request(kind: str, body: Any) -> BaseSpec:
                    f"server speaks api={API_VERSION}, request says {api!r}")
     return parser(body)
 
-
-def default_scale_for(suite: str, bench: str) -> Optional[int]:
-    """The campaign's default scale (surfaced in /v1/status)."""
-    return DEFAULT_SCALES.get(suite, {}).get(bench)

@@ -1,6 +1,10 @@
 """Unit tests for the ASCII execution-timeline renderer."""
 
-from repro.analysis.timeline import Window, render_uops, render_windows
+from repro.analysis.timeline import (
+    Window,
+    render_exec_windows,
+    render_windows,
+)
 from repro.core import CORES
 from repro.core.audit import _RecordingSimulator
 from repro.pipeline.trace import generate_trace
@@ -67,7 +71,7 @@ class TestRenderUops:
         trace = generate_trace(MICROBENCHES["wide-arith"].build(10))
         sim = _RecordingSimulator(trace, CORES["big"])
         sim.run()
-        text = render_uops(sim.issued_log[4:12], limit=8)
+        text = render_exec_windows(sim.windows[4:12], limit=8)
         lines = text.splitlines()
         assert len(lines) == 9  # ruler + 8 rows
         assert any("#" in line for line in lines[1:])
@@ -77,5 +81,5 @@ class TestRenderUops:
         trace = generate_trace(MICROBENCHES["logic"].build(30))
         sim = _RecordingSimulator(trace, CORES["big"])
         sim.run()
-        text = render_uops(sim.issued_log, limit=30)
+        text = render_exec_windows(sim.windows, limit=30)
         assert "eager issue" in text

@@ -8,7 +8,8 @@ slack recycling stays timing non-speculative and resource-legal.
 import pytest
 
 from repro.core import CORES, RecycleMode, SchedulerDesign
-from repro.core.audit import audit_run
+from repro.core.audit import audit_from_events, audit_run
+from repro.obs import EventKind, Recorder
 from repro.pipeline.trace import generate_trace
 from repro.workloads import MICROBENCHES, bitcount, crc32, make_spec
 from repro.workloads.mlkernels import conv3x3
@@ -59,16 +60,21 @@ def test_audit_coarse_precision(traces):
 
 
 def test_auditor_catches_planted_violation(traces):
-    """Sanity: the auditor is not vacuously green."""
-    audit = audit_run(traces["bitcnt"], CORES["medium"])
+    """Sanity: the auditor is not vacuously green.
+
+    Plants a start-before-operand window in a recorded stream and
+    requires the audit to flag it as a dataflow violation."""
+    recorder = Recorder()
+    audit = audit_run(traces["bitcnt"], CORES["medium"], obs=recorder)
     assert audit.ok
-    # forge a timing record that breaks the dataflow rule
-    from repro.core.audit import _RecordingSimulator
-    sim = _RecordingSimulator(traces["bitcnt"], CORES["medium"])
-    sim.run()
-    uop = next(u for u in sim.issued_log if u.sources)
-    uop.start_tick = 0
-    # re-derive the checks manually on the forged log
-    src = uop.sources[0]
-    from repro.core.scheduler import consumer_avail_tick
-    assert uop.start_tick < consumer_avail_tick(src, uop)
+    assert audit_from_events(recorder.events).ok
+    events = list(recorder.events)
+    index, victim = next(
+        (i, e) for i, e in enumerate(events)
+        if e.kind is EventKind.EXEC_WINDOW and not e.data["mem"]
+        and any(avail for _, avail in e.data["srcs"]))
+    events[index] = victim._replace(data={**victim.data, "start": 0})
+    replay = audit_from_events(events)
+    assert any(v.rule == "dataflow" and v.seq == victim.seq
+               for v in replay.violations), \
+        [str(v) for v in replay.violations]

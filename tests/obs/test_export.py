@@ -68,11 +68,11 @@ class TestChromeTrace:
             trace = generate_trace(MICROBENCHES[bench].build(n))
             sim, _, recorder = _traced_audit_run(trace)
             doc = chrome_trace(recorder.events)
-            windows = exec_slices(doc)
-            assert len(windows) == len(sim.issued_log)
-            for uop in sim.issued_log:
-                assert windows[uop.seq]["start"] == uop.start_tick
-                assert windows[uop.seq]["end"] == uop.end_tick
+            slices = exec_slices(doc)
+            assert len(slices) == len(sim.windows)
+            for window in sim.windows:
+                assert slices[window.seq]["start"] == window.data["start"]
+                assert slices[window.seq]["end"] == window.data["end"]
 
     def test_handoff_and_hold_markers(self):
         trace = generate_trace(MICROBENCHES["logic"].build(40))

@@ -1,7 +1,6 @@
 """Structured JSON logging: line shape, binding, stdlib bridge."""
 
 import io
-import json
 import logging
 
 from repro.obs.log import (

@@ -1,8 +1,8 @@
-"""Metrics registry tests + the SimStats-through-registry refactor."""
+"""Metrics registry tests + a run's registry built by ``run_metrics``."""
 
-from repro.analysis.stats import COUNTER_FIELDS, GAUGE_FIELDS, SimStats
 from repro.core import CORES, CoreSimulator
-from repro.obs import MetricsRegistry, Recorder
+from repro.obs import MetricsRegistry, Recorder, run_metrics
+from repro.obs.export import COUNTER_FIELDS, GAUGE_FIELDS
 from repro.pipeline.trace import generate_trace
 from repro.workloads.microbench import MICROBENCHES
 
@@ -65,29 +65,30 @@ class TestPrimitives:
 class TestSimStatsThroughRegistry:
     def _run(self):
         trace = generate_trace(MICROBENCHES["logic"].build(40))
-        sim = CoreSimulator(trace, CORES["big"], obs=Recorder())
+        recorder = Recorder()
+        sim = CoreSimulator(trace, CORES["big"], obs=recorder)
         result = sim.run()
-        return sim, result
+        return sim, result, run_metrics(result.stats, recorder.events)
 
     def test_gauges_populate_stats_fields(self):
-        sim, result = self._run()
+        _, result, metrics = self._run()
         for gauge_name, field_name in GAUGE_FIELDS.items():
-            assert gauge_name in sim.metrics.gauges
+            assert gauge_name in metrics.gauges
             assert getattr(result.stats, field_name) == \
-                sim.metrics.gauges[gauge_name].value
+                metrics.gauges[gauge_name].value
 
     def test_counters_mirror_stats_fields(self):
-        sim, result = self._run()
+        _, result, metrics = self._run()
         for counter_name, field_name in COUNTER_FIELDS.items():
-            assert sim.metrics.counters[counter_name].value == \
+            assert metrics.counters[counter_name].value == \
                 getattr(result.stats, field_name)
         for op_class, count in result.stats.distribution.counts.items():
-            assert sim.metrics.counters[f"dist.{op_class}"].value == count
+            assert metrics.counters[f"dist.{op_class}"].value == count
 
     def test_snapshot_is_simstats_compatible(self):
         """Every SimStats field is recoverable from the snapshot."""
-        sim, result = self._run()
-        snap = sim.metrics.snapshot()
+        _, result, metrics = self._run()
+        snap = metrics.snapshot()
         merged = dict(snap["counters"])
         merged.update(snap["gauges"])
         for gauge_name, field_name in GAUGE_FIELDS.items():
@@ -97,30 +98,23 @@ class TestSimStatsThroughRegistry:
                 getattr(result.stats, field_name)
         assert merged["core.ipc"] == result.stats.ipc
 
-    def test_populate_from_partial_registry(self):
-        stats = SimStats()
-        m = MetricsRegistry()
-        m.gauge("predict.width.accuracy").set(0.75)
-        stats.populate_from(m)
-        assert stats.width_accuracy == 0.75
-        assert stats.la_predictions == 0  # untouched
-
     def test_histograms_recorded_on_traced_runs(self):
-        sim, result = self._run()
-        hist = sim.metrics.histograms["slack.per_op"]
+        sim, result, metrics = self._run()
+        hist = metrics.histograms["slack.per_op"]
         assert hist.total > 0
         tpc = sim.base.ticks_per_cycle
         assert 0 <= hist.min <= hist.max < tpc
-        lat = sim.metrics.histograms["lat.issue_to_execute"]
+        lat = metrics.histograms["lat.issue_to_execute"]
         assert lat.total > 0
         assert lat.min >= 0
         if result.stats.recycled_ops:
-            offsets = sim.metrics.histograms["recycle.start_offset"]
+            offsets = metrics.histograms["recycle.start_offset"]
             assert offsets.total == result.stats.recycled_ops
             assert all(0 < v < tpc for v, _ in offsets.items())
 
     def test_untraced_run_records_no_histograms(self):
         trace = generate_trace(MICROBENCHES["logic"].build(40))
-        sim = CoreSimulator(trace, CORES["big"])
-        sim.run()
-        assert not sim.metrics.histograms
+        result = CoreSimulator(trace, CORES["big"]).run()
+        metrics = run_metrics(result.stats, [])
+        assert not metrics.histograms
+        assert metrics.counters["core.cycles"].value == result.stats.cycles

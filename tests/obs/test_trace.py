@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.trace import (
     IdSource,
-    JsonlSpanSink,
     Span,
     SpanRecorder,
     TraceContext,
