@@ -17,6 +17,7 @@ operations carry a :class:`~repro.isa.opcodes.SimdType` element type
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Union
 
 from .opcodes import (
@@ -59,14 +60,13 @@ class Instruction:
 
     label_refs: List[str] = field(default_factory=list, repr=False)
 
-    @property
+    @cached_property
     def cls(self) -> OpClass:
-        # memoised: the timing pipeline reads this per dynamic uop, and
-        # the opcode never changes after assembly
-        cached = self.__dict__.get("_cls")
-        if cached is None:
-            cached = self.__dict__["_cls"] = op_class(self.op)
-        return cached
+        # memoised in the instance dict, so later reads are plain
+        # attribute reads: trace generation and the timing pipeline
+        # read this per dynamic instruction, and the opcode never
+        # changes after assembly
+        return op_class(self.op)
 
     def sources(self) -> List[Reg]:
         """All architectural registers this instruction reads."""

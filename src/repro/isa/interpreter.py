@@ -1,10 +1,14 @@
 """Reference interpreter: functional execution of whole programs.
 
-The interpreter is the architectural golden model.  The cycle-level
-pipelines (baseline and ReDSOC) must commit exactly the state this
-interpreter produces — slack recycling is timing-only and must never
-change results.  It is also used by workload unit tests to check kernel
-correctness and by the width-predictor to gather ground-truth widths.
+The interpreter is the architectural golden model.  It runs every
+dynamic instruction through :func:`repro.isa.semantics.execute`, a
+second implementation beside the decoded steps
+(:mod:`repro.isa.decode`) that trace generation runs.  The
+differential oracle (:mod:`repro.verify.oracle`) compares the two
+entry by entry, and the cycle-level pipelines (baseline and ReDSOC)
+must commit exactly the state this interpreter produces — slack
+recycling is timing-only and must never change results.  It is also
+used by workload unit tests to check kernel correctness.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ class InterpResult:
     halted: bool
     regs: RegisterFile
     mem: Memory
-    #: dynamic trace of (pc, op_width) pairs when tracing is enabled
+    #: with ``run(record=True)``, one ``(pc, taken, op_width, mem_addr,
+    #: mem_size, is_store)`` tuple per dynamic instruction
     trace: List[tuple] = field(default_factory=list)
 
     def arch_state(self) -> Dict:
@@ -47,8 +52,12 @@ class Interpreter:
         for reg, value in (init_regs or {}).items():
             self.regs.write(reg, value)
 
-    def run(self, *, trace_widths: bool = False) -> InterpResult:
-        """Execute to HALT (or the instruction cap); returns the result."""
+    def run(self, *, record: bool = False) -> InterpResult:
+        """Execute to HALT (or the instruction cap); returns the result.
+
+        *record* keeps each instruction's outcome, the fields of a
+        trace entry that execution decides, in ``InterpResult.trace``.
+        """
         pc = self.program.entry
         instrs = self.program.instructions
         count = 0
@@ -66,8 +75,10 @@ class Interpreter:
             if result.is_store:
                 self.mem.write(result.mem_addr, result.store_value,
                                result.mem_size)
-            if trace_widths:
-                trace.append((pc, result.op_width))
+            if record:
+                trace.append((pc, result.taken, result.op_width,
+                              result.mem_addr, result.mem_size,
+                              result.is_store))
             if result.halted:
                 halted = True
                 break

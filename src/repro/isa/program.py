@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .instruction import Instruction
-from .opcodes import Opcode
+from .opcodes import Cond, Opcode
 from .semantics import Memory
 
 
@@ -41,12 +41,18 @@ class Program:
     def validate(self) -> None:
         """Sanity-check the program: labels resolved, PCs in range, HALT.
 
+        Every pc execution can reach is an instruction: the entry and
+        every branch target lie in ``[0, n)``, and the last instruction
+        is HALT or an unconditional B/BL, so nothing falls off the end.
         Raises ``ValueError`` on any structural problem so workload bugs
-        fail fast instead of producing hung simulations.
+        (and malformed inline programs) fail fast instead of producing
+        hung simulations or bogus traces.
         """
         if not self.instructions:
             raise ValueError(f"program {self.name!r} is empty")
         n = len(self.instructions)
+        if not isinstance(self.entry, int) or not 0 <= self.entry < n:
+            raise ValueError(f"entry {self.entry!r} out of range [0,{n})")
         for instr in self.instructions:
             if isinstance(instr.target, str):
                 raise ValueError(
@@ -56,6 +62,15 @@ class Program:
                     f"branch target {instr.target} out of range [0,{n})")
         if all(i.op is not Opcode.HALT for i in self.instructions):
             raise ValueError(f"program {self.name!r} has no HALT")
+        last = self.instructions[-1]
+        if not (last.op is Opcode.HALT
+                or (last.op in (Opcode.B, Opcode.BL)
+                    and last.cond is Cond.AL
+                    and isinstance(last.target, int))):
+            raise ValueError(
+                f"program {self.name!r} falls through its last "
+                f"instruction ({last!r}); end it with halt or an "
+                f"unconditional branch")
 
     def build_memory(self) -> Memory:
         """Create a fresh :class:`Memory` with the initial data image."""

@@ -72,6 +72,26 @@ def v(index: int) -> Reg:
 #: The single architectural flags (NZCV) register.
 FLAGS = Reg(RegClass.FLAGS, 0)
 
+#: Flat register ids: ``r0``–``r31`` are 0–31, ``v0``–``v31`` are
+#: 32–63 and the flags register is 64.  The trace executor's register
+#: storage and the lowering's rename table are lists indexed by them.
+NUM_REG_IDS = NUM_INT_REGS + NUM_VEC_REGS + 1
+FLAGS_ID = NUM_REG_IDS - 1
+_ID_BASE = {RegClass.INT: 0, RegClass.VEC: NUM_INT_REGS,
+            RegClass.FLAGS: FLAGS_ID}
+_CLASS_MASK = {RegClass.INT: WORD_MASK, RegClass.VEC: VEC_MASK,
+               RegClass.FLAGS: 0xF}
+
+
+def reg_id(reg: Reg) -> int:
+    """The flat id of *reg* (see :data:`NUM_REG_IDS`)."""
+    return _ID_BASE[reg.cls] + reg.index
+
+
+def reg_mask(reg: Reg) -> int:
+    """The mask a write to *reg* is cut to (its register class)."""
+    return _CLASS_MASK[reg.cls]
+
 
 @dataclass
 class Flags:

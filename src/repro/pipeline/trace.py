@@ -1,10 +1,16 @@
 """Dynamic-trace generation: the functional-first half of the simulator.
 
-The timing simulator is *trace-driven*: the reference interpreter first
-executes the program and records one :class:`TraceEntry` per dynamic
+The timing simulator is *trace-driven*: the program is first executed
+with real values and one :class:`TraceEntry` is recorded per dynamic
 instruction (opcode, register dataflow, actual operand width, memory
 address, branch outcome).  The cycle-level model then replays this trace
 through the pipeline structures.
+
+:func:`generate_trace` decodes each static instruction once into a step
+closure (:mod:`repro.isa.decode`) and then runs the steps; the
+per-instruction interpreter :func:`repro.isa.semantics.execute` stays
+as the golden model (:class:`repro.isa.interpreter.Interpreter`) that
+the tests and the differential oracle compare the trace against.
 
 This methodology is exact for ReDSOC because slack recycling is a pure
 *timing* mechanism — it never changes architectural results (the paper's
@@ -19,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.isa.decode import Machine, decode, new_registers, \
+    register_snapshot
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
-from repro.isa.registers import Reg, RegisterFile
-from repro.isa.semantics import execute
+from repro.isa.registers import Reg
 
 
 @dataclass
@@ -66,37 +73,28 @@ class Trace:
 def generate_trace(program: Program, *,
                    init_regs: Optional[Dict[Reg, int]] = None,
                    max_instructions: int = 5_000_000) -> Trace:
-    """Functionally execute *program* and record its dynamic trace."""
-    program.validate()
-    regs = RegisterFile()
-    for reg, value in (init_regs or {}).items():
-        regs.write(reg, value)
-    mem = program.build_memory()
+    """Functionally execute *program* and record its dynamic trace.
 
+    Each static instruction is decoded once, by the module-level name
+    ``decode`` (the seam :mod:`repro.verify.defects` patches).
+    """
+    program.validate()
+    regs = new_registers(init_regs)
+    mem = program.build_memory()
     entries: List[TraceEntry] = []
+    machine = Machine(regs, mem, entries.append, TraceEntry)
+    steps = [decode(instr, pc, machine)
+             for pc, instr in enumerate(program.instructions)]
+    # validate() keeps pc in range: the entry is a valid pc, branch
+    # targets are, and the last instruction never falls through
     pc = program.entry
-    instrs = program.instructions
-    append = entries.append
-    write_reg = regs.write
-    write_mem = mem.write
-    count = 0
-    while count < max_instructions:
-        instr = instrs[pc]
-        result = execute(instr, regs, mem, pc)
-        append(TraceEntry(
-            instr=instr, pc=pc, next_pc=result.next_pc, taken=result.taken,
-            op_width=result.op_width, mem_addr=result.mem_addr,
-            mem_size=result.mem_size, is_store=result.is_store))
-        count += 1
-        for reg, value in result.writes.items():
-            write_reg(reg, value)
-        if result.is_store:
-            write_mem(result.mem_addr, result.store_value, result.mem_size)
-        if result.halted:
+    for _ in range(max_instructions):
+        pc = steps[pc]()
+        if pc < 0:
             break
-        pc = result.next_pc
     else:
         raise RuntimeError(
             f"{program.name!r} exceeded {max_instructions} instructions")
     return Trace(name=program.name, entries=entries,
-                 final_regs=regs.snapshot(), final_mem=mem.snapshot())
+                 final_regs=register_snapshot(regs),
+                 final_mem=mem.snapshot())

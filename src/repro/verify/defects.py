@@ -3,11 +3,13 @@
 A fuzzer that never finds a bug is indistinguishable from a fuzzer that
 can't.  This module provides a registry of small, realistic semantics
 bugs that can be switched on inside a ``with`` block; each one patches
-the ``execute`` binding **in** :mod:`repro.pipeline.trace` only, so the
-trace executor (and therefore every timing core replaying its traces)
-goes wrong while the :class:`~repro.isa.interpreter.Interpreter` golden
-model stays correct — exactly the class of divergence the differential
-oracle exists to catch.
+the ``decode`` binding **in** :mod:`repro.pipeline.trace` only, which
+:func:`~repro.pipeline.trace.generate_trace` calls once per static
+instruction.  So the trace executor's decoded steps (and therefore
+every timing core replaying its traces) go wrong, while the
+:class:`~repro.isa.interpreter.Interpreter` golden model, which runs
+:func:`repro.isa.semantics.execute`, stays correct — exactly the class
+of divergence the differential oracle exists to catch.
 
 The CLI's ``fuzz --self-check`` and the test suite use these to prove,
 end to end, that a seeded defect is caught *and* shrinks to a minimal
@@ -24,12 +26,18 @@ import contextlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator
 
+from repro.isa.decode import Machine, Step
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
-from repro.isa.semantics import ExecResult
+from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.registers import WORD_MASK, reg_id, reg_mask
+from repro.isa.semantics import Memory
 
-#: mutates an ExecResult in place after the real execute() ran
-Mutator = Callable[[Instruction, ExecResult], None]
+#: the decoder a defect wraps: ``decode(instr, pc, machine) -> Step``
+Decoder = Callable[[Instruction, int, Machine], Step]
+
+#: builds the step to run for one static instruction, given the real
+#: decoder and that decoder's arguments
+Mutator = Callable[[Decoder, Instruction, int, Machine], Step]
 
 
 @dataclass(frozen=True)
@@ -39,21 +47,48 @@ class Defect:
     mutate: Mutator
 
 
-def _eor_lsb(instr: Instruction, res: ExecResult) -> None:
-    if instr.op is Opcode.EOR and instr.rd in res.writes:
-        res.writes[instr.rd] ^= 1
+def _eor_lsb(decode: Decoder, instr: Instruction, pc: int,
+             machine: Machine) -> Step:
+    step = decode(instr, pc, machine)
+    if instr.op is not Opcode.EOR or instr.rd is None:
+        return step
+    regs, rd = machine.regs, reg_id(instr.rd)
+
+    def flipped() -> int:
+        next_pc = step()
+        regs[rd] ^= 1
+        return next_pc
+    return flipped
 
 
-def _sub_off_by_one(instr: Instruction, res: ExecResult) -> None:
+def _sub_off_by_one(decode: Decoder, instr: Instruction, pc: int,
+                    machine: Machine) -> Step:
+    step = decode(instr, pc, machine)
     # plain SUB only: SUBS drives loop counters, and corrupting those
     # would turn bounded loops into (near-)unbounded ones
-    if (instr.op is Opcode.SUB and not instr.set_flags
-            and instr.rd in res.writes):
-        res.writes[instr.rd] = (res.writes[instr.rd] + 1) & 0xFFFFFFFF
+    if instr.op is not Opcode.SUB or instr.set_flags or instr.rd is None:
+        return step
+    regs, rd = machine.regs, reg_id(instr.rd)
+    mask = WORD_MASK & reg_mask(instr.rd)
 
-def _store_drop(instr: Instruction, res: ExecResult) -> None:
-    if res.is_store:
-        res.is_store = False
+    def off_by_one() -> int:
+        next_pc = step()
+        regs[rd] = (regs[rd] + 1) & mask
+        return next_pc
+    return off_by_one
+
+
+def _store_drop(decode: Decoder, instr: Instruction, pc: int,
+                machine: Machine) -> Step:
+    if instr.cls is not OpClass.STORE:
+        return decode(instr, pc, machine)
+    entry = machine.entry
+
+    def non_store(*fields):
+        return entry(*fields[:-1], False)
+    # the store writes a throwaway memory and records is_store=False
+    return decode(instr, pc, Machine(machine.regs, Memory(),
+                                     machine.record, non_store))
 
 
 DEFECTS: Dict[str, Defect] = {d.name: d for d in (
@@ -75,26 +110,24 @@ DEFAULT_DEFECT = "eor-lsb"
 def inject_defect(name: str) -> Iterator[Defect]:
     """Activate defect *name* inside the ``with`` block.
 
-    Patches ``repro.pipeline.trace.execute`` (the name the trace
-    executor calls through), leaving ``repro.isa.semantics.execute``
-    and the interpreter's own binding untouched.
+    Patches ``repro.pipeline.trace.decode`` (the name the trace
+    executor decodes every static instruction through), leaving
+    ``repro.isa.semantics.execute`` and the interpreter untouched.
     """
     import repro.pipeline.trace as trace_mod
 
     defect = DEFECTS[name]  # KeyError on unknown names is the API
-    original = trace_mod.execute
+    original = trace_mod.decode
 
-    def buggy_execute(instr, regs, mem, pc):
-        res = original(instr, regs, mem, pc)
-        defect.mutate(instr, res)
-        return res
+    def buggy_decode(instr, pc, machine):
+        return defect.mutate(original, instr, pc, machine)
 
-    trace_mod.execute = buggy_execute
+    trace_mod.decode = buggy_decode
     try:
         yield defect
     finally:
-        trace_mod.execute = original
+        trace_mod.decode = original
 
 
-__all__ = ["DEFAULT_DEFECT", "DEFECTS", "Defect", "Mutator",
+__all__ = ["DEFAULT_DEFECT", "DEFECTS", "Decoder", "Defect", "Mutator",
            "inject_defect"]

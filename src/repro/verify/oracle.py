@@ -4,11 +4,16 @@ One :func:`check_program` call runs a program through every layer that
 claims to preserve architectural semantics and cross-checks them:
 
 1. **golden vs trace executor** — the
-   :class:`~repro.isa.interpreter.Interpreter` and
-   :func:`~repro.pipeline.trace.generate_trace` are two independent
-   drivers of the same instruction semantics; their final architectural
-   states (``arch_state()``) and dynamic instruction counts must agree
-   exactly.
+   :class:`~repro.isa.interpreter.Interpreter` (per-instruction
+   :func:`~repro.isa.semantics.execute`) and
+   :func:`~repro.pipeline.trace.generate_trace` (steps decoded once per
+   static instruction, :mod:`repro.isa.decode`) are two implementations
+   of the instruction semantics.  Their final architectural states
+   (``arch_state()``) and dynamic instruction counts must agree, and so
+   must every dynamic entry's ``(pc, taken, op_width, mem_addr,
+   mem_size, is_store)``: an operand width moves timing without moving
+   architectural state, and both timing engines replay the same trace,
+   so only this comparison sees it.
 2. **timing cores** — the trace is replayed through the cycle model in
    every requested :class:`~repro.core.config.RecycleMode` under the
    full :func:`~repro.core.audit.audit_run` (six timing invariants),
@@ -28,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core.audit import audit_run
 from repro.core.config import CoreConfig, RecycleMode, SMALL
 from repro.core.cpu import simulate
-from repro.isa.interpreter import run_program
+from repro.isa.interpreter import Interpreter
 from repro.isa.program import Program
 from repro.pipeline.trace import Trace, generate_trace
 
@@ -100,6 +105,19 @@ def _diff_mem(golden: Dict, other: Dict) -> str:
     return "; ".join(diffs[:4]) + ("..." if len(diffs) > 4 else "")
 
 
+def _diff_entries(golden: List[tuple], trace: Trace) -> Optional[str]:
+    """The first dynamic entry whose outcome differs, if any."""
+    got = [(e.pc, e.taken, e.op_width, e.mem_addr, e.mem_size, e.is_store)
+           for e in trace.entries]
+    if got == golden:
+        return None
+    for seq, (want, have) in enumerate(zip(golden, got)):
+        if want != have:
+            return (f"seq {seq}: golden (pc, taken, op_width, mem_addr, "
+                    f"mem_size, is_store)={want} got {have}")
+    return None     # one is a prefix of the other: arch.count says so
+
+
 #: simulate-compatible callable the metamorphic layer uses for its
 #: config variants; the CLI substitutes a campaign-cache-backed one
 SimulateFn = Callable[[Trace, CoreConfig], Any]
@@ -142,7 +160,7 @@ def check_program(program: Program, *,
     flag = verdict.divergences.append
 
     # 1. golden model vs trace executor
-    golden = run_program(program)
+    golden = Interpreter(program).run(record=True)
     trace = generate_trace(program)
     verdict.instructions = len(trace.entries)
     verdict.trace = trace
@@ -161,6 +179,9 @@ def check_program(program: Program, *,
             "arch.count", None,
             f"golden retired {golden.instructions}, trace recorded "
             f"{len(trace.entries)}"))
+    entry_diff = _diff_entries(golden.trace, trace)
+    if entry_diff is not None:
+        flag(Divergence("arch.trace", None, entry_diff))
     if not golden.halted:
         flag(Divergence("arch.halt", None,
                         "golden model hit the instruction cap"))

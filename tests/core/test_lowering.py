@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core import CORES, RecycleMode, simulate
 from repro.core.lower import lower_trace
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.registers import FLAGS, RegClass
 from repro.pipeline.trace import generate_trace
 from repro.verify.generator import GenConfig, ProgramGenerator, materialize
 from repro.workloads.suites import SUITES
@@ -103,6 +104,39 @@ class TestStaticDataflow:
             od = lowered.order_dep[child]
             if od >= 0:
                 assert child in lowered.dependents[od]
+
+
+#: traces the static-dataflow checks rerun on, besides bitcnt: an ml
+#: kernel (vector registers, VLD1/VST1) and a generated program (flag
+#: producers, ADC and SBC reading the flags)
+MORE_FLOW_TRACES = {
+    "ml-pool0": lambda: SUITES["ml"]["pool0"](scale=3),
+    "fuzz": lambda: ProgramGenerator(0).program(1),
+}
+
+
+class TestStaticDataflowVectorAndFlags(TestStaticDataflow):
+    @pytest.fixture(scope="class", params=sorted(MORE_FLOW_TRACES))
+    def flow(self, request):
+        trace = generate_trace(MORE_FLOW_TRACES[request.param]())
+        return request.param, trace, lower_trace(trace)
+
+    @pytest.fixture
+    def trace(self, flow):
+        return flow[1]
+
+    @pytest.fixture
+    def lowered(self, flow):
+        return flow[2]
+
+    def test_trace_has_vector_or_flag_dataflow(self, flow):
+        name, trace, _ = flow
+        sources = {reg for e in trace.entries for reg in e.instr.sources()}
+        if name == "ml-pool0":
+            assert any(reg.cls is RegClass.VEC for reg in sources)
+        else:
+            assert FLAGS in sources
+            assert any(e.instr.op is Opcode.ADC for e in trace.entries)
 
 
 class TestLoweredExecutionProperty:

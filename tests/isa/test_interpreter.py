@@ -1,6 +1,8 @@
 """Unit tests for the reference interpreter (the golden model)."""
 
 
+import pytest
+
 from repro.isa import Asm, Cond, Interpreter, r, run_program
 from repro.pipeline.trace import generate_trace
 
@@ -43,9 +45,18 @@ class TestInterpreter:
 
     def test_width_tracing(self):
         interp = Interpreter(counting_program(2))
-        result = interp.run(trace_widths=True)
+        result = interp.run(record=True)
         assert len(result.trace) == result.instructions
-        assert all(1 <= w <= 32 for _, w in result.trace)
+        assert all(1 <= w <= 32 for _, _, w, _, _, _ in result.trace)
+
+    def test_record_keeps_every_outcome(self):
+        result = Interpreter(counting_program(2)).run(record=True)
+        pcs = [pc for pc, *_ in result.trace]
+        assert pcs == [0, 1, 2, 3, 4, 2, 3, 4, 5]
+        taken = [t for _, t, *_ in result.trace]
+        assert taken == [False] * 4 + [True] + [False] * 4
+        assert all(addr is None and size == 0 and not store
+                   for _, _, _, addr, size, store in result.trace)
 
     def test_arch_state_snapshot(self):
         result = run_program(counting_program(2))
@@ -61,3 +72,48 @@ class TestInterpreter:
         assert trace.final_regs == interp.regs.snapshot()
         assert trace.final_mem == interp.mem.snapshot()
         assert len(trace) == interp.instructions
+
+
+class TestProgramValidation:
+    """validate() keeps every reachable pc inside the program."""
+
+    def _program(self, last):
+        a = Asm("tail")
+        a.mov(r(1), 1)
+        a.b("end", cond=Cond.NE)
+        a.halt()
+        a.label("end")
+        last(a)
+        return a
+
+    @pytest.mark.parametrize("last", [
+        lambda a: a.halt(),
+        lambda a: a.b("end"),
+        lambda a: a.bl("end", link=r(14)),
+    ], ids=["halt", "b", "bl"])
+    def test_last_instruction_that_cannot_fall_through(self, last):
+        self._program(last).finish()
+
+    @pytest.mark.parametrize("last", [
+        lambda a: a.add(r(1), r(1), 1),
+        lambda a: a.b("end", cond=Cond.EQ),
+        lambda a: a.nop(),
+    ], ids=["alu", "conditional-b", "nop"])
+    def test_last_instruction_falling_through_is_rejected(self, last):
+        with pytest.raises(ValueError, match="falls through"):
+            self._program(last).finish()
+
+    @pytest.mark.parametrize("entry", [-1, 6, 7, "0"])
+    def test_entry_outside_the_program_is_rejected(self, entry):
+        program = counting_program(2)
+        program.entry = entry
+        with pytest.raises(ValueError, match="entry"):
+            program.validate()
+        with pytest.raises(ValueError, match="entry"):
+            generate_trace(program)
+
+    def test_entry_inside_the_program_runs_from_there(self):
+        program = counting_program(2)
+        program.entry = 5                   # the HALT
+        assert [e.pc for e in generate_trace(program).entries] == [5]
+        assert run_program(program).instructions == 1

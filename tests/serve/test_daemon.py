@@ -68,6 +68,13 @@ class TestSimulate:
         assert err.value.status == 400
         assert err.value.code == "bad-asm"
 
+    def test_program_falling_off_its_end_is_400_not_500(self, client):
+        with pytest.raises(ServeError) as err:
+            client.simulate(asm="mov r1, #1\nb end\nhalt\n"
+                                "end: add r1, r1, #1\n",
+                            core="small", mode="baseline")
+        assert (err.value.status, err.value.code) == (400, "bad-asm")
+
     def test_unknown_suite_is_400(self, client):
         with pytest.raises(ServeError) as err:
             client.simulate(suite="nope", bench="x",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa import assemble_text, program_to_dict
 from repro.serve.protocol import (
     API_VERSION,
     MAX_SWEEP_JOBS,
@@ -12,6 +13,8 @@ from repro.serve.protocol import (
 )
 
 SPIN = "mov r1, #3\nloop:\nsubs r1, r1, #1\nbne loop\nhalt"
+#: HALT is reachable only by falling off the end past ``end``
+FALLS_THROUGH = "mov r1, #1\nb end\nhalt\nend: add r1, r1, #1\n"
 
 
 def err(kind, body):
@@ -86,6 +89,28 @@ class TestSimulate:
         exc = err("simulate", {"asm": "b nowhere\nhalt",
                                "core": "small", "mode": "baseline"})
         assert exc.code == "bad-asm"
+
+    def test_program_falling_off_its_end_is_a_400(self):
+        exc = err("simulate", {"asm": FALLS_THROUGH, "core": "small",
+                               "mode": "baseline"})
+        assert (exc.status, exc.code) == (400, "bad-asm")
+        assert "falls through" in exc.message
+
+    @pytest.mark.parametrize("entry", [7, -1, 4])
+    def test_program_entry_out_of_range_is_a_400(self, entry):
+        program = program_to_dict(assemble_text(SPIN))   # 4 instructions
+        program["entry"] = entry
+        exc = err("simulate", {"program": program, "core": "small",
+                               "mode": "baseline"})
+        assert (exc.status, exc.code) == (400, "bad-program")
+        assert "entry" in exc.message
+
+    def test_program_form_falling_through_is_a_400(self):
+        program = program_to_dict(assemble_text(SPIN))
+        program["instructions"].append({"op": "NOP"})
+        exc = err("simulate", {"program": program, "core": "small",
+                               "mode": "baseline"})
+        assert (exc.status, exc.code) == (400, "bad-program")
 
     def test_bad_scale(self):
         body = dict(self.NAMED)
