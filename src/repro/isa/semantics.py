@@ -13,6 +13,14 @@ instruction against a :class:`~repro.isa.registers.RegisterFile` and a
 :class:`Memory` and returns an :class:`ExecResult` describing register
 writes, memory behaviour, control flow and the observed effective operand
 width.
+
+``execute`` is the golden model: the
+:class:`~repro.isa.interpreter.Interpreter` runs it once per dynamic
+instruction.  Trace generation does not; it runs steps decoded once per
+static instruction (:mod:`repro.isa.decode`), which reproduce
+``execute`` exactly and reuse its helpers for shifts, SIMD lanes and
+branch conditions.  The tests and the differential oracle compare the
+two.
 """
 
 from __future__ import annotations
@@ -103,9 +111,9 @@ def width_bucket(width: int) -> int:
 class ExecResult:
     """Outcome of functionally executing one instruction.
 
-    A plain ``__slots__`` class (not a dataclass): one is built per
-    dynamic instruction during trace generation, so construction cost
-    is on the functional-simulation hot path.
+    A plain ``__slots__`` class (not a dataclass): the golden
+    interpreter builds one per dynamic instruction, so construction
+    cost is on its hot path.
     """
 
     __slots__ = ("next_pc", "writes", "taken", "mem_addr", "mem_size",
