@@ -443,30 +443,10 @@ class CompiledSimulator:
         # issue
         # ---------------------------------------------------------------
 
-        def notify_dependents(s, cycle, p_avail, p_sync):
-            p_trans = transp[s]
-            floor = cycle + 1
-            for d in dependents[s]:
-                if d >= D:
-                    break               # not yet dispatched (lists ascend)
-                w = waiting[d]
-                if w is None or s not in w:
-                    continue
-                w.discard(s)
-                a = p_avail if p_trans and transp[d] else p_sync
-                wk = a // TPC - lat[d]
-                if wk < floor:
-                    wk = floor
-                e = eligible[d]
-                if e < 0 or wk > e:
-                    eligible[d] = e = wk
-                if not w:
-                    schedule_wake(d, e if e > floor else floor)
-
         def finish(s, cycle, start, end, avail, sync, extra, recycled,
                    eager):
             nonlocal rs_used, fetch_resume, blocked, st_holds, st_eager, \
-                st_recycled
+                st_recycled, live_total
             state[s] = 1
             issue_c[s] = cycle
             start_t[s] = start
@@ -478,7 +458,8 @@ class CompiledSimulator:
                 st_holds += 1
             if eager:
                 st_eager += 1
-            if transp[s]:
+            p_trans = transp[s]
+            if p_trans:
                 if recycled:
                     st_recycled += 1
                     pid = -1
@@ -496,11 +477,38 @@ class CompiledSimulator:
                     chain_len.append(1)
                     chain[s] = len(chain_len) - 1
             rs_used -= 1
-            remove_ready(s)
+            if in_ready[s]:
+                in_ready[s] = 0
+                dead[clsi[s]] += 1
+                live_total -= 1
             if s == blocked:
                 fetch_resume = cycle + lat[s] + MISPRED_PEN
                 blocked = -1
-            notify_dependents(s, cycle, avail, sync)
+            # wake the dispatched dependents watching this tag
+            floor = cycle + 1
+            for d in dependents[s]:
+                if d >= D:
+                    break               # not yet dispatched (lists ascend)
+                w = waiting[d]
+                if w is None or s not in w:
+                    continue
+                w.remove(s)
+                a = avail if p_trans and transp[d] else sync
+                wk = a // TPC - lat[d]
+                if wk < floor:
+                    wk = floor
+                e = eligible[d]
+                if e < 0 or wk > e:
+                    eligible[d] = e = wk
+                if not w:
+                    if e < floor:
+                        e = floor
+                    b = wake_at.get(e)
+                    if b is None:
+                        wake_at[e] = [d]
+                        heappush(wake_heap, e)
+                    else:
+                        b.append(d)
 
         def train_predictors(s):
             nonlocal w_lookups, w_exact, w_cons, w_aggr, la_n, la_wrong
@@ -543,18 +551,27 @@ class CompiledSimulator:
             cnt = counts[ci]
             ss = srcs[s]
 
-            unissued = [p for p in ss
-                        if state[p] != 2 and issue_c[p] < 0]
+            # a committed producer has issued, so issue_c alone decides
+            unissued = None
+            for p in ss:
+                if issue_c[p] < 0:
+                    if unissued is None:
+                        unissued = {p}
+                    else:
+                        unissued.add(p)
             if ci == _I_LOAD:
                 od = odeps[s]
                 if od >= 0 and issue_c[od] < 0:
-                    unissued.append(od)
-            if unissued:
+                    if unissued is None:
+                        unissued = {od}
+                    else:
+                        unissued.add(od)
+            if unissued is not None:
                 # woke off the wrong (predicted-last) tag: reissue later
                 replayed[s] = 1
                 if la_app[s]:
                     st_la_replays += 1
-                waiting[s] = set(unissued)
+                waiting[s] = unissued
                 eligible[s] = cycle + 1
                 remove_ready(s)
                 nb = busy.get(arrival, 0)       # the grant burnt a slot
@@ -752,10 +769,10 @@ class CompiledSimulator:
             issued_now = []
             stalled = False
             for idx, cnt, busy, q in lanes:
+                if not q:
+                    continue            # empty: no tombstones to compact
                 if dead[idx] > 8:
                     compact(idx)
-                if not q:
-                    continue
                 for s in q:
                     if not in_ready[s]:
                         continue
@@ -824,7 +841,10 @@ class CompiledSimulator:
                     pred_w[i] = p_w
                     ex[i] = s_exwc[sidx[i]][(p_w >> 3) - 1]
 
-                live = [p for p in producers[i] if state[p] != 2]
+                live = []
+                for p in producers[i]:
+                    if state[p] != 2:
+                        live.append(p)
                 srcs[i] = live
 
                 if ci == _I_LOAD or ci == _I_STORE:
@@ -837,7 +857,10 @@ class CompiledSimulator:
                     la_app[i] = 1
                     sec_pred[i] = 1 if sp else 0
                     watched = [live[1] if sp else live[0]]
-                w = {p for p in watched if issue_c[p] < 0}
+                w = set()
+                for p in watched:
+                    if issue_c[p] < 0:
+                        w.add(p)
                 waiting[i] = w
                 od = odeps[i]
                 if od >= 0 and issue_c[od] < 0:

@@ -9,15 +9,7 @@ loops generate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
-
-
-@dataclass
-class _StrideEntry:
-    last_addr: int = -1
-    stride: int = 0
-    confidence: int = 0
 
 
 class StridePrefetcher:
@@ -26,6 +18,9 @@ class StridePrefetcher:
     Prefetch distance is at least one cache line per step: small-stride
     streams (e.g. 16-byte SIMD loads walking a row) would otherwise
     prefetch within the line already being fetched and hide nothing.
+
+    The table is three flat lists indexed by ``pc % entries``: last
+    address (``-1`` until trained), stride and confidence.
     """
 
     def __init__(self, *, entries: int = 256, degree: int = 4,
@@ -34,28 +29,34 @@ class StridePrefetcher:
         self.degree = degree
         self.threshold = threshold
         self.line_bytes = line_bytes
-        self._table = [_StrideEntry() for _ in range(entries)]
+        self._last = [-1] * entries
+        self._stride = [0] * entries
+        self._confidence = [0] * entries
         self.issued = 0
 
     def observe(self, pc: int, addr: int) -> List[int]:
         """Train on a demand access; returns addresses to prefetch."""
-        entry = self._table[pc % self.entries]
-        prefetches: List[int] = []
-        if entry.last_addr >= 0:
-            stride = addr - entry.last_addr
-            if stride != 0 and stride == entry.stride:
-                entry.confidence = min(entry.confidence + 1, 3)
+        e = pc % self.entries
+        last = self._last[e]
+        self._last[e] = addr
+        stride = self._stride[e]
+        if last >= 0:
+            step = addr - last
+            if step != 0 and step == stride:
+                conf = self._confidence[e] + 1
+                self._confidence[e] = conf if conf < 3 else 3
             else:
-                entry.stride = stride
-                entry.confidence = 0
-        entry.last_addr = addr
-        if entry.confidence >= self.threshold and entry.stride != 0:
-            step = entry.stride
-            if abs(step) < self.line_bytes:
-                step = self.line_bytes if step > 0 else -self.line_bytes
-            for k in range(1, self.degree + 1):
-                prefetches.append(addr + k * step)
-            self.issued += len(prefetches)
+                self._stride[e] = stride = step
+                self._confidence[e] = 0
+        if self._confidence[e] < self.threshold or stride == 0:
+            return []
+        step = stride
+        if abs(step) < self.line_bytes:
+            step = self.line_bytes if step > 0 else -self.line_bytes
+        prefetches: List[int] = []
+        for k in range(1, self.degree + 1):
+            prefetches.append(addr + k * step)
+        self.issued += len(prefetches)
         return prefetches
 
 

@@ -48,7 +48,6 @@ from repro.core.config import (
     TAKEN_BRANCHES_PER_CYCLE,
 )
 from repro.core.slack_lut import SlackLUT
-from repro.core.ticks import TickBase
 from repro.isa.opcodes import ARITH_OPS, Cond, OpClass, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.branch import GsharePredictor
@@ -173,11 +172,15 @@ def extract_features(trace: Trace, config: CoreConfig, *,
     constraint; pass ``window=0`` to disable it and measure the pure
     dataflow limit.
     """
+    # the compiled engine's process-wide LUT for this timing corner
+    # (the walk only reads it); imported here for the reason
+    # _static_timing gives
+    from repro.core.compiled import _shared_lut
+
     if window is None:
         window = config.rob_size
     tpc = config.ticks_per_cycle
-    base = TickBase(tpc, config.tech)
-    lut = SlackLUT(base, pvt_scale=config.pvt_scale)
+    _, lut = _shared_lut(config)
     mem = MemoryHierarchy(config.memory)
     branch_pred = GsharePredictor()
     l1_latency = config.memory.l1_latency

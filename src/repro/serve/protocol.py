@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import CORES, ENGINES, RecycleMode
+from repro.isa.decode import check_decodable
 from repro.isa.program import Program
 from repro.isa.serialize import program_from_dict, program_to_dict
 from repro.isa.textasm import assemble_text
@@ -168,6 +169,13 @@ def _parse_workload(body: Dict[str, Any]) -> Dict[str, Any]:
         raise _bad("program-too-large",
                    f"inline programs are capped at "
                    f"{MAX_PROGRAM_INSTRUCTIONS} instructions")
+    try:
+        # an instruction missing an operand its opcode reads would
+        # otherwise fail in the worker, once the run reaches it
+        check_decodable(program.instructions)
+    except ValueError as exc:
+        raise _bad("bad-asm" if "asm" in body else "bad-program",
+                   f"undecodable instruction: {exc}") from exc
     return {"program": program_to_dict(program)}
 
 

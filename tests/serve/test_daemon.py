@@ -81,6 +81,28 @@ class TestSimulate:
                             core="small", mode="baseline")
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("bad", [
+        {"op": "ADD", "rn": "r1", "imm": 1},              # no rd
+        {"op": "ADD", "rd": "r2", "rn": "r1", "imm": "x"},  # str imm
+    ])
+    def test_malformed_program_form_is_400_not_500(self, client, bad):
+        program = {"name": "bad", "instructions": [
+            {"op": "MOV", "rd": "r1", "imm": 3}, bad, {"op": "HALT"}]}
+        with pytest.raises(ServeError) as err:
+            client.simulate(program=program, core="small",
+                            mode="baseline")
+        assert (err.value.status, err.value.code) == (400, "bad-program")
+        assert "pc 1" in str(err.value)
+
+    def test_well_formed_program_form(self, client):
+        program = {"name": "ok", "instructions": [
+            {"op": "MOV", "rd": "r1", "imm": 3},
+            {"op": "ADD", "rd": "r2", "rn": "r1", "imm": 1},
+            {"op": "HALT"}]}
+        reply = client.simulate(program=program, core="small",
+                                mode="baseline")
+        assert reply["result"]["cycles"] > 0
+
 
     @pytest.mark.parametrize("engine", ["fast", "vector"])
     def test_removed_engine_is_400(self, client, engine):
