@@ -42,8 +42,9 @@ class Program:
         """Sanity-check the program: labels resolved, PCs in range, HALT.
 
         Every pc execution can reach is an instruction: the entry and
-        every branch target lie in ``[0, n)``, and the last instruction
-        is HALT or an unconditional B/BL, so nothing falls off the end.
+        every branch target lie in ``[0, n)``, every B/BL has a target,
+        and the last instruction is HALT or an unconditional B/BL, so
+        nothing falls off the end.
         Raises ``ValueError`` on any structural problem so workload bugs
         (and malformed inline programs) fail fast instead of producing
         hung simulations or bogus traces.
@@ -53,7 +54,9 @@ class Program:
         n = len(self.instructions)
         if not isinstance(self.entry, int) or not 0 <= self.entry < n:
             raise ValueError(f"entry {self.entry!r} out of range [0,{n})")
-        for instr in self.instructions:
+        for pc, instr in enumerate(self.instructions):
+            if instr.op in (Opcode.B, Opcode.BL) and instr.target is None:
+                raise ValueError(f"pc {pc}: {instr!r} has no branch target")
             if isinstance(instr.target, str):
                 raise ValueError(
                     f"unresolved label {instr.target!r}; call resolve_labels()")
