@@ -8,24 +8,35 @@ predictors, same adaptive-threshold controller — but with every per-uop
 object replaced by flat parallel lists indexed by sequence number and
 every helper call inlined into one closure nest whose state lives in
 fast locals/cells.  The ROB and fetch queue collapse to three integer
-pointers (``commit <= dispatch <= fetch``) over the trace order; rename,
-memory disambiguation and static decode were already done once by the
-lowering pass.
+pointers (``commit <= dispatch <= fetch``) over the trace order, so an
+entry has committed exactly when its seq is below the commit pointer;
+rename, memory disambiguation and static decode were already done once
+by the lowering pass.
+
+Each FU class's ready lane is a seq-keyed heap with lazy deletion:
+wakeup pushes, and select pops stale heads (entries that issued or
+replayed since they were pushed) and every head it issues or replays,
+so the select stage only ever examines live requests.
 
 Everything that does not depend on the replay state is computed ahead
 of time as plain-list columns:
 
 * **entry columns** — predictor hash columns (``pc % 4096`` for the
-  width predictor, ``pc % 1024`` for the last-arrival predictor) and a
-  **branch-resolution column**: fetch trains the gshare predictor
+  width predictor, ``pc % 1024`` for the last-arrival predictor), a
+  **branch-resolution column** (fetch trains the gshare predictor
   strictly in trace order, whatever the timing does, so every
   conditional branch's mispredict bit is a pure function of the trace
-  and the replay's fetch stage never touches a predictor table; they
-  read no config, so they are memoized on the lowered trace;
+  and the replay's fetch stage never touches a predictor table) and a
+  **fetch-stop column** (the next branch at or after each entry that
+  fetch must look at: a taken or mispredicted one); they read no
+  config, so they are memoized on the lowered trace;
 * **decode columns** — transparency, latency, static EX-TIME, width
-  buckets and the width-resolved actual EX-TIME per entry, built once
-  per run from the static decode table (:func:`decode_static`, one row
-  per static instruction) and gathered per entry;
+  buckets, the width-resolved actual EX-TIME and the Fig. 10
+  operation-distribution bucket per entry, built once per run from the
+  static decode table (:func:`decode_static`, one row per static
+  instruction) and gathered per entry; since every entry commits
+  exactly once, the run's distribution is that column's histogram, with
+  the memory ops that missed L1 moved from MEM-LL to MEM-HL;
 * **slack LUT / tick base** — read-only after construction and shared
   process-wide per (ticks, tech, PVT) instead of rebuilt per run.
 
@@ -37,10 +48,10 @@ table state is timing-dependent.
 The engine is **cycle-identical** to the reference model by
 construction and by CI: the backend-equivalence matrix runs
 ``--exact-cycles`` per engine, the lowering and engine unit tests
-compare full ``SimStats`` records, and ``repro.verify`` cross-fuzzes
-the engines nightly.  Anything observability-related is absent on
-purpose — the engine registry routes traced runs to the reference
-backend.
+compare full ``SimStats`` records (also over one-field config
+variants), and ``repro.verify`` cross-fuzzes the engines nightly.
+Anything observability-related is absent on purpose — the engine
+registry routes traced runs to the reference backend.
 
 Correctness-critical deviations from a naive transcription (each proven
 equivalent in :mod:`repro.core.lower`'s notes and pinned by tests):
@@ -49,16 +60,23 @@ equivalent in :mod:`repro.core.lower`'s notes and pinned by tests):
   time* (before the watched-tag arity decision, which counts live
   sources only);
 * static ``dependents`` lists include not-yet-dispatched consumers, so
-  the notify and GP-candidate walks stop at the dispatch pointer;
+  the GP-candidate walk stops at the dispatch pointer; wakeup walks
+  per-tag watcher lists instead, which dispatch (and a replay) append
+  an entry to for every tag it awaits, with a per-entry count of the
+  tags still awaited — the order of a wake bucket is immaterial, since
+  ready lanes are heaps keyed on seq;
 * a load's static ``order_dep`` may already have committed where the
   dynamic model would have found no in-flight store — every use of a
-  committed (hence issued) store is a no-op.
+  committed (hence issued) store is a no-op;
+* an opaque uop's avail tick is recorded as its sync tick: the model
+  reads a producer's un-quantised avail tick only when both it and its
+  consumer are transparent, so a consumer need not test the producer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import HIGH_SLACK_FRACTION, SimStats
@@ -109,6 +127,17 @@ _LANE_ORDER = (_I_ALU, _I_SIMD, _I_FP, _I_LOAD, _I_STORE, _I_MUL,
                _I_DIV, _I_BRANCH)
 
 _WIDTH_CLASSES = (8, 16, 24, 32)
+
+#: operation-distribution buckets (Fig. 10 classes, in ``_BUCKET_NAMES``
+#: order); every memory op sits in MEM-LL, and the replay moves one to
+#: MEM-HL when the hierarchy reports it missed L1
+_B_NONE, _B_MEM_LL, _B_MEM_HL, _B_SIMD, _B_MULTI, _B_ALU_LS, _B_ALU_HS = \
+    range(7)
+_BUCKET_NAMES = (None, "MEM-LL", "MEM-HL", "SIMD", "OtherMulti", "ALU-LS",
+                 "ALU-HS")
+_CLASS_BUCKET = {_I_LOAD: _B_MEM_LL, _I_STORE: _B_MEM_LL,
+                 _I_SIMD: _B_SIMD, _I_MUL: _B_MULTI, _I_DIV: _B_MULTI,
+                 _I_FP: _B_MULTI}
 
 
 def decode_static(instr, transparent: bool, lut: SlackLUT,
@@ -163,7 +192,8 @@ def _shared_lut(config: CoreConfig) -> Tuple[TickBase, SlackLUT]:
 class _EntryColumns:
     """Config-independent columns derived from one lowered trace."""
 
-    __slots__ = ("phash", "lhash", "misp", "br_n", "br_wrong")
+    __slots__ = ("phash", "lhash", "misp", "stops", "classes", "br_n",
+                 "br_wrong")
 
     def __init__(self, low: LoweredTrace) -> None:
         pcs = low.pc
@@ -195,6 +225,18 @@ class _EntryColumns:
         self.misp = misp
         self.br_n = len(sites)
         self.br_wrong = wrong
+        # fetch-stop column: the first entry at or after each seq that
+        # ends a fetch group or counts against the taken-branch budget
+        # (a taken or mispredicted branch); n past the last one
+        n = low.n
+        stops = [n] * n
+        lo = 0
+        for j in compress(range(n), map(_I_BRANCH.__eq__, low.cls_idx)):
+            if misp[j] or takens[j]:
+                stops[lo:j + 1] = [j] * (j + 1 - lo)
+                lo = j + 1
+        self.stops = stops
+        self.classes = frozenset(low.cls_idx)
 
 
 class _DecodeColumns:
@@ -202,7 +244,7 @@ class _DecodeColumns:
     ``ex`` is mutated in place by the run's width prediction."""
 
     __slots__ = ("transp", "lat", "ex", "arith", "wb", "actual_ex",
-                 "s_exwc")
+                 "s_exwc", "bucket")
 
     def __init__(self, low: LoweredTrace, config: CoreConfig,
                  lut: SlackLUT, tpc: int) -> None:
@@ -214,21 +256,39 @@ class _DecodeColumns:
             tuple(lut.ex_time(instr, w) for w in _WIDTH_CLASSES)
             if row[3] else None
             for instr, row in zip(low.instrs, table)]
+        s_bucket = [_alu_bucket(row[2], tpc)
+                    if instr.cls is OpClass.ALU
+                    else _CLASS_BUCKET.get(OPCLASS_INDEX[instr.cls],
+                                           _B_NONE)
+                    for instr, row in zip(low.instrs, table)]
         # ... gathered into per-entry columns
         sidx = low.static_idx
-        self.transp = [table[s][0] for s in sidx]
-        self.lat = [table[s][1] for s in sidx]
-        ex = self.ex = [table[s][2] for s in sidx]
-        arith = self.arith = [table[s][3] for s in sidx]
+        self.transp = _gather([row[0] for row in table], sidx)
+        self.lat = _gather([row[1] for row in table], sidx)
+        ex = self.ex = _gather([row[2] for row in table], sidx)
+        arith = self.arith = _gather([row[3] for row in table], sidx)
+        bucket = self.bucket = _gather(s_bucket, sidx)
         wb = self.wb = [0] * low.n
         actual_ex = self.actual_ex = ex[:]
         widths = low.op_width
         s_exwc = self.s_exwc
-        for i, a in enumerate(arith):
-            if a:
-                b = width_bucket(widths[i])
-                wb[i] = b
-                actual_ex[i] = s_exwc[sidx[i]][(b >> 3) - 1]
+        for i in compress(range(low.n), arith):
+            b = width_bucket(widths[i])
+            wb[i] = b
+            x = actual_ex[i] = s_exwc[sidx[i]][(b >> 3) - 1]
+            bucket[i] = _alu_bucket(x, tpc)
+
+
+def _gather(values: list, sidx: List[int]) -> list:
+    """``[values[s] for s in sidx]``, without a bytecode per entry."""
+    return list(map(values.__getitem__, sidx))
+
+
+def _alu_bucket(ex_time: int, tpc: int) -> int:
+    """ALU-HS when the op leaves more than the high-slack fraction of a
+    cycle unused, else ALU-LS."""
+    return (_B_ALU_HS if 1.0 - ex_time / tpc > HIGH_SLACK_FRACTION
+            else _B_ALU_LS)
 
 
 def _entry_columns(low: LoweredTrace) -> _EntryColumns:
@@ -297,10 +357,10 @@ class CompiledSimulator:
         addrs = low.mem_addr
         sizes = low.mem_size
         clsi = low.cls_idx
-        takens = low.taken
         stores_f = low.is_store
         odeps = low.order_dep
         misp = cols.misp
+        stops = cols.stops
         phash = cols.phash
         lhash = cols.lhash
         producers = low.producers
@@ -312,27 +372,27 @@ class CompiledSimulator:
         arith = decode.arith
         wb = decode.wb
         actual_ex = decode.actual_ex
+        bucket = decode.bucket
         ex = decode.ex            # mutated by width prediction
 
         # -- per-seq dynamic state -------------------------------------
-        state = bytearray(n)          # 0 DISPATCHED / 1 ISSUED / 2 COMMITTED
+        # an entry has issued once issue_c >= 0 and committed once its
+        # seq is below C; avail_t holds sync_t for opaque uops
         in_ready = bytearray(n)
         replayed = bytearray(n)
         la_app = bytearray(n)
-        width_app = bytearray(n)
         sec_pred = bytearray(n)
-        mem_hl = bytearray(n)
         issue_c = [-1] * n
         done_c = [-1] * n
         eligible = [-1] * n
         start_t = [0] * n
-        end_t = [0] * n
         avail_t = [0] * n
         sync_t = [0] * n
         pred_w = [32] * n
         chain = [-1] * n
         srcs = [()] * n               # live producers, set at dispatch
-        waiting = [None] * n          # set[int], set at dispatch
+        watchers = [None] * n         # per tag: the entries awaiting it
+        pending = bytearray(n)        # per entry: tags still awaited
 
         # -- machine state ---------------------------------------------
         C = 0                         # ROB head (next to commit)
@@ -340,14 +400,13 @@ class CompiledSimulator:
         F = 0                         # next to fetch
         rs_used = 0
         lsq_used = 0
-        committed = 0
         fetch_resume = 0
         blocked = -1                  # seq fetch is blocked on (-1 none)
         live_stores = []              # issued, uncommitted store seqs
 
-        # ready queues (seq-sorted per class, lazy tombstones)
+        # ready lanes: one seq-keyed heap per class, lazily deleted (an
+        # entry is live while in_ready; stale copies pop at the head)
         queues = [[] for _ in range(len(OPCLASS_INDEX))]
-        dead = [0] * len(OPCLASS_INDEX)
         live_total = 0
         wake_at = {}
         wake_heap = []
@@ -363,14 +422,15 @@ class CompiledSimulator:
         counts[_I_DIV] = config.complex_units
         counts[_I_BRANCH] = config.branch_units
         busies = [{} for _ in range(len(OPCLASS_INDEX))]
-        lanes = tuple((idx, counts[idx], busies[idx], queues[idx])
-                      for idx in _LANE_ORDER)
+        # a class the trace never holds can never have a ready entry
+        lanes = tuple((counts[idx], busies[idx], queues[idx])
+                      for idx in _LANE_ORDER if idx in cols.classes)
 
         # width / last-arrival predictors as plain tables (the gshare
         # front end is gone: `misp` resolved it per entry already)
         w_class = [32] * 4096
         w_conf = [0] * 4096
-        w_lookups = w_exact = w_cons = w_aggr = 0
+        w_lookups = w_exact = w_aggr = 0
         la_tab = [True] * 1024
         la_n = la_wrong = 0
 
@@ -385,7 +445,6 @@ class CompiledSimulator:
         exploit_left = 0
 
         # stats counters
-        st_cycles = 0
         st_fu_stall = 0
         st_dispatch_stall = 0
         st_recycled = 0
@@ -395,9 +454,7 @@ class CompiledSimulator:
         st_width_replays = 0
         st_gp_mispec = 0
         st_wasted_gp = 0
-        d_memhl = d_memll = d_simd = d_multi = d_aluls = d_aluhs = 0
-
-        HSF = HIGH_SLACK_FRACTION
+        st_mem_hl = 0                 # memory ops that missed L1
 
         # ---------------------------------------------------------------
         # wakeup plumbing
@@ -415,42 +472,221 @@ class CompiledSimulator:
             nonlocal live_total
             while wake_heap and wake_heap[0] <= cycle:
                 for s in wake_at.pop(heappop(wake_heap)):
-                    if state[s] or in_ready[s]:
+                    if in_ready[s] or issue_c[s] >= 0:
                         continue
-                    idx = clsi[s]
-                    q = queues[idx]
-                    pos = bisect_left(q, s)
-                    if pos < len(q) and q[pos] == s:
-                        dead[idx] -= 1
-                    else:
-                        q.insert(pos, s)
+                    heappush(queues[clsi[s]], s)
                     in_ready[s] = 1
                     live_total += 1
-
-        def compact(idx):
-            q = queues[idx]
-            q[:] = [s for s in q if in_ready[s] and not state[s]]
-            dead[idx] = 0
 
         def remove_ready(s):
             nonlocal live_total
             if in_ready[s]:
                 in_ready[s] = 0
-                dead[clsi[s]] += 1
                 live_total -= 1
 
         # ---------------------------------------------------------------
         # issue
         # ---------------------------------------------------------------
 
-        def finish(s, cycle, start, end, avail, sync, extra, recycled,
-                   eager):
-            nonlocal rs_used, fetch_resume, blocked, st_holds, st_eager, \
-                st_recycled, live_total
-            state[s] = 1
+        def try_issue(s, cycle, eager):
+            """0 = issued, 1 = stall, 2 = replayed."""
+            nonlocal st_la_replays, st_width_replays, st_mem_hl, w_lookups, \
+                w_exact, w_aggr, la_n, la_wrong, rs_used, fetch_resume, \
+                blocked, st_holds, st_eager, st_recycled, live_total
+            arrival = cycle + lat[s]
+            ci = clsi[s]
+            busy = busies[ci]
+            cnt = counts[ci]
+            t = transp[s]
+
+            # one pass over the sources: the unissued producers, and the
+            # latest avail tick of the issued, uncommitted ones (a
+            # committed producer has issued, so issue_c alone decides)
+            unissued = None
+            source_avail = 0
+            for p in srcs[s]:
+                if issue_c[p] < 0:
+                    if unissued is None:
+                        unissued = [p]
+                    else:
+                        unissued.append(p)
+                elif p >= C:
+                    a = avail_t[p] if t else sync_t[p]
+                    if a > source_avail:
+                        source_avail = a
+            if ci == _I_LOAD:
+                od = odeps[s]
+                if od >= 0 and issue_c[od] < 0:
+                    if unissued is None:
+                        unissued = [od]
+                    else:
+                        unissued.append(od)
+            if unissued is not None:
+                # woke off the wrong (predicted-last) tag: reissue later
+                replayed[s] = 1
+                if la_app[s]:
+                    st_la_replays += 1
+                for p in unissued:
+                    wl = watchers[p]
+                    if wl is None:
+                        watchers[p] = [s]
+                    else:
+                        wl.append(s)
+                pending[s] = len(unissued)
+                eligible[s] = cycle + 1
+                remove_ready(s)
+                nb = busy.get(arrival, 0)       # the grant burnt a slot
+                if nb < cnt:
+                    busy[arrival] = nb + 1
+                return 2
+
+            if ci == _I_LOAD:
+                nb = busy.get(arrival, 0)
+                if nb >= cnt:
+                    return 1
+                busy[arrival] = nb + 1
+                # a load is never transparent: source_avail is the
+                # latest sync tick of its address operands
+                addr_cycle = (source_avail + TPC - 1) // TPC
+                if addr_cycle < arrival:
+                    addr_cycle = arrival
+                latency_m = load_latency(addrs[s], pcs[s])
+                if latency_m > L1_LAT:
+                    st_mem_hl += 1
+                lo = addrs[s]
+                hi = lo + sizes[s]
+                fwd = -1
+                for f in reversed(live_stores):
+                    if f > s:
+                        continue
+                    s_lo = addrs[f]
+                    if s_lo < hi and lo < s_lo + sizes[f]:
+                        fwd = f
+                        break
+                if fwd >= 0:
+                    dc = done_c[fwd]
+                    data_cycle = (dc if dc > 0 else 0) + 1
+                    if data_cycle < addr_cycle + 1:
+                        data_cycle = addr_cycle + 1
+                else:
+                    data_cycle = addr_cycle + latency_m
+                start = addr_cycle * TPC
+                avail = sync = data_cycle * TPC
+                extra = recycled = False
+            elif ci == _I_STORE:
+                nb = busy.get(arrival, 0)
+                if nb >= cnt:
+                    return 1
+                busy[arrival] = nb + 1
+                start = avail = sync = arrival * TPC
+                extra = recycled = False
+                live_stores.append(s)
+            else:
+                # generic FU path (ALU / SIMD / MUL / DIV / FP / BRANCH)
+                cycle_start = arrival * TPC
+                if t:
+                    start = (source_avail if source_avail > cycle_start
+                             else cycle_start)
+                else:
+                    edge = ((source_avail + TPC - 1) // TPC) * TPC
+                    start = edge if edge > cycle_start else cycle_start
+                ext = ex[s]
+                end = start + ext
+                occupy = start // TPC
+                sync = ((end + TPC - 1) // TPC) * TPC
+                extra = end > (occupy + 1) * TPC
+                recycled = start % TPC != 0
+                if IS_MOS and recycled and extra:
+                    # MOS cannot cross a clock edge: normal edge start
+                    edge = ((source_avail + TPC - 1) // TPC) * TPC
+                    start = edge if edge > cycle_start else cycle_start
+                    end = start + ext
+                    occupy = start // TPC
+                    sync = ((end + TPC - 1) // TPC) * TPC
+                    extra = end > (occupy + 1) * TPC
+                    recycled = start % TPC != 0
+
+                if start >= cycle_start + TPC:
+                    # an unwatched, issued operand lands after our window
+                    replayed[s] = 1
+                    if la_app[s]:
+                        st_la_replays += 1
+                    remove_ready(s)
+                    wk = source_avail // TPC - 1
+                    nxt = cycle + 1
+                    schedule_wake(s, wk if wk > nxt else nxt)
+                    nb = busy.get(arrival, 0)
+                    if nb < cnt:
+                        busy[arrival] = nb + 1
+                    return 2
+
+                if wb[s] > pred_w[s]:
+                    # aggressive width mispredict (wb is 0 for a uop without
+                    # width prediction): conservative re-execution
+                    arr2 = arrival + REPLAY_PEN
+                    cs2 = arr2 * TPC
+                    edge = ((source_avail + TPC - 1) // TPC) * TPC
+                    start = edge if edge > cs2 else cs2
+                    end = start + actual_ex[s]
+                    occupy = start // TPC
+                    sync = ((end + TPC - 1) // TPC) * TPC
+                    extra = end > (occupy + 1) * TPC
+                    recycled = start % TPC != 0
+                    st_width_replays += 1
+
+                if extra and (busy.get(occupy, 0) >= cnt
+                              or busy.get(occupy + 1, 0) >= cnt):
+                    # 2-cycle hold unaffordable: opaque edge-aligned start
+                    cs2 = arrival * TPC
+                    edge = ((source_avail + TPC - 1) // TPC) * TPC
+                    start = edge if edge > cs2 else cs2
+                    end = start + ext
+                    occupy = start // TPC
+                    sync = ((end + TPC - 1) // TPC) * TPC
+                    extra = end > (occupy + 1) * TPC
+                    recycled = start % TPC != 0
+                nb = busy.get(occupy, 0)
+                if nb >= cnt:
+                    return 1
+                if extra:
+                    mb = busy.get(occupy + 1, 0)
+                    if mb >= cnt:
+                        return 1
+                    busy[occupy + 1] = mb + 1
+                busy[occupy] = nb + 1
+
+                # train the width and last-arrival predictors
+                if arith[s]:
+                    w_lookups += 1
+                    actual = wb[s]
+                    predicted = pred_w[s]
+                    if predicted == actual:
+                        w_exact += 1
+                    elif predicted < actual:
+                        w_aggr += 1
+                    e = phash[s]
+                    if w_class[e] == actual:
+                        c = w_conf[e] + 1
+                        w_conf[e] = c if c < 3 else 3
+                    else:
+                        w_class[e] = actual
+                        w_conf[e] = 0
+                if la_app[s]:
+                    ss = srcs[s]        # two live sources, see dispatch
+                    la_n += 1
+                    c1 = issue_c[ss[0]]
+                    c2 = issue_c[ss[1]]
+                    if c1 != c2:
+                        second_last = c2 > c1
+                        if bool(sec_pred[s]) != second_last:
+                            la_wrong += 1
+                        la_tab[lhash[s]] = second_last
+                avail = end if t else sync
+
+            # the uop issues: record its window, extend its transparent
+            # chain, free its RS entry and wake the entries awaiting it
             issue_c[s] = cycle
             start_t[s] = start
-            end_t[s] = end
             avail_t[s] = avail
             sync_t[s] = sync
             done_c[s] = sync // TPC
@@ -458,8 +694,7 @@ class CompiledSimulator:
                 st_holds += 1
             if eager:
                 st_eager += 1
-            p_trans = transp[s]
-            if p_trans:
+            if t:
                 if recycled:
                     st_recycled += 1
                     pid = -1
@@ -479,241 +714,33 @@ class CompiledSimulator:
             rs_used -= 1
             if in_ready[s]:
                 in_ready[s] = 0
-                dead[clsi[s]] += 1
                 live_total -= 1
             if s == blocked:
                 fetch_resume = cycle + lat[s] + MISPRED_PEN
                 blocked = -1
-            # wake the dispatched dependents watching this tag
+            # wake the entries awaiting this tag (eligible is set for
+            # every dispatched entry, and a wake is never before floor)
+            wl = watchers[s]
+            if wl is None:
+                return 0
             floor = cycle + 1
-            for d in dependents[s]:
-                if d >= D:
-                    break               # not yet dispatched (lists ascend)
-                w = waiting[d]
-                if w is None or s not in w:
-                    continue
-                w.remove(s)
-                a = avail if p_trans and transp[d] else sync
+            for d in wl:
+                a = avail if transp[d] else sync
                 wk = a // TPC - lat[d]
                 if wk < floor:
                     wk = floor
                 e = eligible[d]
-                if e < 0 or wk > e:
+                if wk > e:
                     eligible[d] = e = wk
-                if not w:
-                    if e < floor:
-                        e = floor
+                left = pending[d] - 1
+                pending[d] = left
+                if not left:
                     b = wake_at.get(e)
                     if b is None:
                         wake_at[e] = [d]
                         heappush(wake_heap, e)
                     else:
                         b.append(d)
-
-        def train_predictors(s):
-            nonlocal w_lookups, w_exact, w_cons, w_aggr, la_n, la_wrong
-            if width_app[s]:
-                w_lookups += 1
-                actual = wb[s]
-                predicted = pred_w[s]
-                if predicted == actual:
-                    w_exact += 1
-                elif predicted > actual:
-                    w_cons += 1
-                else:
-                    w_aggr += 1
-                e = phash[s]
-                if w_class[e] == actual:
-                    c = w_conf[e] + 1
-                    w_conf[e] = c if c < 3 else 3
-                else:
-                    w_class[e] = actual
-                    w_conf[e] = 0
-            if la_app[s]:
-                ss = srcs[s]
-                if len(ss) >= 2:
-                    la_n += 1
-                    c1 = issue_c[ss[0]]
-                    c2 = issue_c[ss[1]]
-                    if c1 != c2:
-                        second_last = c2 > c1
-                        if bool(sec_pred[s]) != second_last:
-                            la_wrong += 1
-                        la_tab[lhash[s]] = second_last
-
-        def try_issue(s, cycle, eager):
-            """0 = issued, 1 = stall, 2 = replayed."""
-            nonlocal st_la_replays, st_width_replays
-            latency = lat[s]
-            arrival = cycle + latency
-            ci = clsi[s]
-            busy = busies[ci]
-            cnt = counts[ci]
-            ss = srcs[s]
-
-            # a committed producer has issued, so issue_c alone decides
-            unissued = None
-            for p in ss:
-                if issue_c[p] < 0:
-                    if unissued is None:
-                        unissued = {p}
-                    else:
-                        unissued.add(p)
-            if ci == _I_LOAD:
-                od = odeps[s]
-                if od >= 0 and issue_c[od] < 0:
-                    if unissued is None:
-                        unissued = {od}
-                    else:
-                        unissued.add(od)
-            if unissued is not None:
-                # woke off the wrong (predicted-last) tag: reissue later
-                replayed[s] = 1
-                if la_app[s]:
-                    st_la_replays += 1
-                waiting[s] = unissued
-                eligible[s] = cycle + 1
-                remove_ready(s)
-                nb = busy.get(arrival, 0)       # the grant burnt a slot
-                if nb < cnt:
-                    busy[arrival] = nb + 1
-                return 2
-
-            if ci == _I_LOAD:
-                nb = busy.get(arrival, 0)
-                if nb >= cnt:
-                    return 1
-                busy[arrival] = nb + 1
-                addr_avail = 0
-                for p in ss:
-                    if state[p] != 2:
-                        a = sync_t[p]           # a load is synchronous
-                        if a > addr_avail:
-                            addr_avail = a
-                addr_cycle = (addr_avail + TPC - 1) // TPC
-                if addr_cycle < arrival:
-                    addr_cycle = arrival
-                latency_m = load_latency(addrs[s], pcs[s])
-                mem_hl[s] = 1 if latency_m > L1_LAT else 0
-                lo = addrs[s]
-                hi = lo + sizes[s]
-                fwd = -1
-                for f in reversed(live_stores):
-                    if f > s:
-                        continue
-                    s_lo = addrs[f]
-                    if s_lo < hi and lo < s_lo + sizes[f]:
-                        fwd = f
-                        break
-                if fwd >= 0:
-                    dc = done_c[fwd]
-                    data_cycle = (dc if dc > 0 else 0) + 1
-                    if data_cycle < addr_cycle + 1:
-                        data_cycle = addr_cycle + 1
-                else:
-                    data_cycle = addr_cycle + latency_m
-                edge = data_cycle * TPC
-                finish(s, cycle, addr_cycle * TPC, edge, edge, edge,
-                       False, False, False)
-                return 0
-
-            if ci == _I_STORE:
-                nb = busy.get(arrival, 0)
-                if nb >= cnt:
-                    return 1
-                busy[arrival] = nb + 1
-                edge = arrival * TPC
-                finish(s, cycle, edge, edge + TPC, edge, edge,
-                       False, False, False)
-                live_stores.append(s)
-                return 0
-
-            # generic FU path (ALU / SIMD / MUL / DIV / FP / BRANCH)
-            t = transp[s]
-            source_avail = 0
-            for p in ss:
-                if state[p] != 2:
-                    a = avail_t[p] if t and transp[p] else sync_t[p]
-                    if a > source_avail:
-                        source_avail = a
-            cycle_start = arrival * TPC
-            if t:
-                start = (source_avail if source_avail > cycle_start
-                         else cycle_start)
-            else:
-                edge = ((source_avail + TPC - 1) // TPC) * TPC
-                start = edge if edge > cycle_start else cycle_start
-            ext = ex[s]
-            end = start + ext
-            sync = ((end + TPC - 1) // TPC) * TPC
-            extra = end > (start // TPC + 1) * TPC
-            recycled = start % TPC != 0
-            if IS_MOS and recycled and extra:
-                # MOS cannot cross a clock edge: normal edge start
-                edge = ((source_avail + TPC - 1) // TPC) * TPC
-                start = edge if edge > cycle_start else cycle_start
-                end = start + ext
-                sync = ((end + TPC - 1) // TPC) * TPC
-                extra = end > (start // TPC + 1) * TPC
-                recycled = start % TPC != 0
-
-            if start >= cycle_start + TPC:
-                # an (unwatched but issued) operand lands after our window
-                replayed[s] = 1
-                if la_app[s]:
-                    st_la_replays += 1
-                la_avail = 0
-                for p in ss:
-                    if state[p] != 2:
-                        a = avail_t[p] if t and transp[p] else sync_t[p]
-                        if a > la_avail:
-                            la_avail = a
-                remove_ready(s)
-                wk = la_avail // TPC - 1
-                nxt = cycle + 1
-                schedule_wake(s, wk if wk > nxt else nxt)
-                nb = busy.get(arrival, 0)
-                if nb < cnt:
-                    busy[arrival] = nb + 1
-                return 2
-
-            if width_app[s] and wb[s] > pred_w[s]:
-                # aggressive width mispredict: conservative re-execution
-                arr2 = arrival + REPLAY_PEN
-                cs2 = arr2 * TPC
-                edge = ((source_avail + TPC - 1) // TPC) * TPC
-                start = edge if edge > cs2 else cs2
-                end = start + actual_ex[s]
-                sync = ((end + TPC - 1) // TPC) * TPC
-                extra = end > (start // TPC + 1) * TPC
-                recycled = start % TPC != 0
-                st_width_replays += 1
-
-            occupy = start // TPC
-            if extra and (busy.get(occupy, 0) >= cnt
-                          or busy.get(occupy + 1, 0) >= cnt):
-                # 2-cycle hold unaffordable: opaque edge-aligned start
-                cs2 = arrival * TPC
-                edge = ((source_avail + TPC - 1) // TPC) * TPC
-                start = edge if edge > cs2 else cs2
-                end = start + ext
-                sync = ((end + TPC - 1) // TPC) * TPC
-                extra = end > (start // TPC + 1) * TPC
-                recycled = start % TPC != 0
-                occupy = start // TPC
-            nb = busy.get(occupy, 0)
-            if nb >= cnt:
-                return 1
-            if extra:
-                mb = busy.get(occupy + 1, 0)
-                if mb >= cnt:
-                    return 1
-                busy[occupy + 1] = mb + 1
-            busy[occupy] = nb + 1
-
-            train_predictors(s)
-            finish(s, cycle, start, end, end, sync, extra, recycled,
-                   eager)
             return 0
 
         # ---------------------------------------------------------------
@@ -726,7 +753,7 @@ class CompiledSimulator:
             for parent in issued_now:
                 if not transp[parent] or replayed[parent]:
                     continue
-                p_end = end_t[parent]
+                p_end = avail_t[parent]     # a transparent uop's end tick
                 arrival_end = (start_t[parent] // TPC + 1) * TPC
                 if p_end >= arrival_end:
                     continue
@@ -735,9 +762,8 @@ class CompiledSimulator:
                 for child in dependents[parent]:
                     if child >= D:
                         break
-                    if (child in seen or state[child]
-                            or issue_c[child] >= 0 or not transp[child]
-                            or lat[child] != p_lat):
+                    if (child in seen or issue_c[child] >= 0
+                            or not transp[child] or lat[child] != p_lat):
                         continue
                     if IS_MOS:
                         if p_end + ex[child] > arrival_end:
@@ -747,14 +773,9 @@ class CompiledSimulator:
                     deadline = (cycle + lat[child] + 1) * TPC
                     ok = True
                     for p in srcs[child]:
-                        if state[p] == 2:
+                        if p < C:
                             continue
-                        if issue_c[p] < 0:
-                            ok = False
-                            break
-                        a = (avail_t[p] if transp[p] and transp[child]
-                             else sync_t[p])
-                        if a >= deadline:
+                        if issue_c[p] < 0 or avail_t[p] >= deadline:
                             ok = False
                             break
                     if not ok:
@@ -768,23 +789,22 @@ class CompiledSimulator:
             nonlocal st_fu_stall, st_gp_mispec, st_wasted_gp
             issued_now = []
             stalled = False
-            for idx, cnt, busy, q in lanes:
-                if not q:
-                    continue            # empty: no tombstones to compact
-                if dead[idx] > 8:
-                    compact(idx)
-                for s in q:
+            for cnt, busy, q in lanes:
+                while q:
+                    s = q[0]
                     if not in_ready[s]:
+                        heappop(q)          # issued or replayed since
                         continue
                     if cnt <= busy.get(cycle + lat[s], 0):
                         stalled = True
                         break
                     r = try_issue(s, cycle, False)
-                    if r == 0:
-                        issued_now.append(s)
-                    elif r == 1:
+                    if r == 1:
                         stalled = True
                         break
+                    heappop(q)
+                    if not r:
+                        issued_now.append(s)
             if DO_GP and issued_now:
                 for child in gp_candidates(cycle, issued_now):
                     idx = clsi[child]
@@ -797,11 +817,9 @@ class CompiledSimulator:
                         try_issue(child, cycle, True)
                     else:
                         q = queues[idx]
-                        for u in q:
-                            if not (in_ready[u] and not state[u]):
-                                compact(idx)
-                                break
-                        older_pending = any(u < child for u in q)
+                        while q and not in_ready[q[0]]:
+                            heappop(q)
+                        older_pending = q and q[0] < child
                         r = try_issue(child, cycle, True)
                         if r == 0 and older_pending:
                             st_gp_mispec += 1
@@ -815,87 +833,107 @@ class CompiledSimulator:
 
         def dispatch(cycle):
             nonlocal D, rs_used, lsq_used, st_dispatch_stall
-            count = 0
+            # up to FRONT fetched entries, in order, from D
+            i = D
+            end = i + FRONT
+            if end > F:
+                end = F
+            rob_end = C + ROB_SIZE
             stalled = False
             nxt = cycle + 1
-            while F > D and count < FRONT:
-                i = D
-                if D - C >= ROB_SIZE:
+            while i < end:
+                if i >= rob_end:
                     stalled = True
                     break
                 ci = clsi[i]
-                if ci != _I_NOP and ci != _I_HALT and rs_used >= RSE_SIZE:
+                if ci == _I_NOP or ci == _I_HALT:
+                    issue_c[i] = cycle      # no sources: done at once
+                    done_c[i] = cycle
+                    i += 1
+                    continue
+                if rs_used >= RSE_SIZE:
                     stalled = True
                     break
                 if (ci == _I_LOAD or ci == _I_STORE) \
                         and lsq_used >= LSQ_SIZE:
                     stalled = True
                     break
-                D += 1
-                count += 1
+                rs_used += 1
 
                 if arith[i]:
                     e = phash[i]
                     p_w = w_class[e] if w_conf[e] >= 3 else 32
-                    width_app[i] = 1
                     pred_w[i] = p_w
                     ex[i] = s_exwc[sidx[i]][(p_w >> 3) - 1]
 
-                live = []
-                for p in producers[i]:
-                    if state[p] != 2:
-                        live.append(p)
+                live = producers[i]
+                for p in live:
+                    if p < C:               # drop the committed ones
+                        live = [q for q in live if q >= C]
+                        break
                 srcs[i] = live
 
                 if ci == _I_LOAD or ci == _I_STORE:
                     lsq_used += 1
 
-                if WATCH_ALL or not transp[i] or len(live) != 2:
+                t = transp[i]
+                if WATCH_ALL or not t or len(live) != 2:
                     watched = live
                 else:
                     sp = la_tab[lhash[i]]
                     la_app[i] = 1
                     sec_pred[i] = 1 if sp else 0
-                    watched = [live[1] if sp else live[0]]
-                w = set()
-                for p in watched:
-                    if issue_c[p] < 0:
-                        w.add(p)
-                waiting[i] = w
-                od = odeps[i]
-                if od >= 0 and issue_c[od] < 0:
-                    w.add(od)
+                    watched = (live[1],) if sp else (live[0],)
 
-                if ci == _I_NOP or ci == _I_HALT:
-                    state[i] = 1
-                    issue_c[i] = cycle
-                    done_c[i] = cycle
-                    continue
-                rs_used += 1
-
+                # one pass over the watched tags: the unissued ones are
+                # awaited, the issued ones bound the wake cycle
+                awaited = 0
                 wake = nxt
                 li = lat[i]
-                t = transp[i]
                 for p in watched:
                     pi = issue_c[p]
-                    if pi >= 0:
-                        a = avail_t[p] if transp[p] and t else sync_t[p]
+                    if pi < 0:
+                        wl = watchers[p]
+                        if wl is None:
+                            watchers[p] = [i]
+                        else:
+                            wl.append(i)
+                        awaited += 1
+                    else:
+                        a = avail_t[p] if t else sync_t[p]
                         w2 = a // TPC - li
                         if w2 <= pi:
                             w2 = pi + 1
                         if w2 > wake:
                             wake = w2
+                od = odeps[i]
                 if od >= 0:
                     pi = issue_c[od]
-                    if pi >= 0:
+                    if pi < 0:
+                        wl = watchers[od]
+                        if wl is None:
+                            watchers[od] = [i]
+                        else:
+                            wl.append(i)
+                        awaited += 1
+                    else:
                         w2 = sync_t[od] // TPC - li
                         if w2 <= pi:
                             w2 = pi + 1
                         if w2 > wake:
                             wake = w2
                 eligible[i] = wake
-                if not w:
-                    schedule_wake(i, wake)
+                if awaited:
+                    pending[i] = awaited
+                else:
+                    b = wake_at.get(wake)
+                    if b is None:
+                        wake_at[wake] = [i]
+                        heappush(wake_heap, wake)
+                    else:
+                        b.append(i)
+                i += 1
+            D = i
             if stalled:
                 st_dispatch_stall += 1
 
@@ -905,62 +943,49 @@ class CompiledSimulator:
 
         def fetch(cycle):
             nonlocal F, blocked
-            fetched = 0
+            end = F + FRONT
+            if end > n:
+                end = n
+            if end > D + QUEUE_CAP:
+                end = D + QUEUE_CAP
             taken_seen = 0
-            while F < n and fetched < FRONT and F - D < QUEUE_CAP:
-                i = F
-                F += 1
-                fetched += 1
-                if clsi[i] == _I_BRANCH:
-                    if misp[i]:
-                            blocked = i
-                            break
-                    if takens[i]:
-                        taken_seen += 1
-                        if taken_seen > TAKEN_PER_CYCLE:
-                            break
+            while F < end:
+                j = stops[F]                # next taken/mispredicted branch
+                if j >= end:
+                    F = end
+                    return
+                F = j + 1
+                if misp[j]:
+                    blocked = j
+                    return
+                taken_seen += 1
+                if taken_seen > TAKEN_PER_CYCLE:
+                    return
 
         # ---------------------------------------------------------------
         # commit
         # ---------------------------------------------------------------
 
         def commit(cycle):
-            nonlocal C, committed, lsq_used, d_memhl, d_memll, d_simd, \
-                d_multi, d_aluls, d_aluhs
-            width = FRONT
-            done = 0
-            while C < D and done < width:
-                s = C
-                if state[s] != 1:
-                    break
-                dc = done_c[s]
+            nonlocal C, lsq_used, st_mem_hl
+            # between C and D an entry has issued exactly when done_c is
+            # set, so done_c alone says whether the head may retire
+            c = C
+            end = c + FRONT
+            if end > D:
+                end = D
+            while c < end:
+                dc = done_c[c]
                 if dc < 0 or dc > cycle:
                     break
-                ci = clsi[s]
-                if stores_f[s]:
-                    latency = store_latency(addrs[s], pcs[s])
-                    mem_hl[s] = 1 if latency > L1_LAT else 0
-                    if s in live_stores:
-                        live_stores.remove(s)
-                if ci == _I_LOAD or ci == _I_STORE:
+                if bucket[c] == _B_MEM_LL:      # a load or a store
                     lsq_used -= 1
-                    if mem_hl[s]:
-                        d_memhl += 1
-                    else:
-                        d_memll += 1
-                elif ci == _I_SIMD:
-                    d_simd += 1
-                elif ci == _I_MUL or ci == _I_DIV or ci == _I_FP:
-                    d_multi += 1
-                elif ci == _I_ALU:
-                    if 1.0 - actual_ex[s] / TPC > HSF:
-                        d_aluhs += 1
-                    else:
-                        d_aluls += 1
-                state[s] = 2
-                C += 1
-                committed += 1
-                done += 1
+                    if stores_f[c]:
+                        live_stores.remove(c)
+                        if store_latency(addrs[c], pcs[c]) > L1_LAT:
+                            st_mem_hl += 1
+                c += 1
+            C = c
 
         # ---------------------------------------------------------------
         # adaptive-threshold controller
@@ -969,8 +994,8 @@ class CompiledSimulator:
         def adapt_threshold():
             nonlocal threshold, window_start_committed, exploit_left, \
                 probe_plan, probe_results
-            done = committed - window_start_committed
-            window_start_committed = committed
+            done = C - window_start_committed
+            window_start_committed = C
             probe_results.append((done, threshold))
             if probe_plan:
                 threshold = probe_plan.pop(0)
@@ -995,7 +1020,7 @@ class CompiledSimulator:
 
         limit = 200 * n + 100_000
         cycle = 0
-        while committed < n:
+        while C < n:
             if wake_heap and wake_heap[0] <= cycle:
                 advance_to(cycle)
             if C < D:
@@ -1007,7 +1032,6 @@ class CompiledSimulator:
             if (blocked < 0 and cycle >= fetch_resume and F < n
                     and F - D < QUEUE_CAP):
                 fetch(cycle)
-            st_cycles += 1
             if cycle and not cycle & 4095:
                 for busy in busies:
                     for c in [c for c in busy if c < cycle]:
@@ -1017,16 +1041,16 @@ class CompiledSimulator:
             cycle += 1
             if cycle > limit:
                 raise RuntimeError(
-                    f"simulation wedged: {committed}/{n} committed "
+                    f"simulation wedged: {C}/{n} committed "
                     f"after {cycle} cycles (trace {trace.name!r})")
-            if committed >= n:
+            if C >= n:
                 break
 
             # -- skip-ahead: is the machine provably idle at `cycle`? --
             if live_total:
                 continue
             head_done = None
-            if C < D and state[C] == 1:
+            if C < D:
                 hd = done_c[C]
                 if hd >= 0:
                     if hd <= cycle:
@@ -1062,10 +1086,8 @@ class CompiledSimulator:
             if boundary < target:
                 target = boundary
             if target > cycle:
-                skipped = target - cycle
-                st_cycles += skipped
                 if F > D:
-                    st_dispatch_stall += skipped
+                    st_dispatch_stall += target - cycle
                 cycle = target
 
         # ---------------------------------------------------------------
@@ -1073,8 +1095,8 @@ class CompiledSimulator:
         # ---------------------------------------------------------------
 
         stats = SimStats()
-        stats.cycles = st_cycles
-        stats.committed = committed
+        stats.cycles = cycle          # every cycle stepped or skipped
+        stats.committed = C
         stats.recycled_ops = st_recycled
         stats.eager_issues = st_eager
         stats.two_cycle_holds = st_holds
@@ -1084,13 +1106,13 @@ class CompiledSimulator:
         stats.wasted_gp_grants = st_wasted_gp
         stats.la_replays = st_la_replays
         stats.width_replays = st_width_replays
-        dist = stats.distribution.counts
-        dist["MEM-HL"] = d_memhl
-        dist["MEM-LL"] = d_memll
-        dist["SIMD"] = d_simd
-        dist["OtherMulti"] = d_multi
-        dist["ALU-LS"] = d_aluls
-        dist["ALU-HS"] = d_aluhs
+        # every entry commits exactly once: the Fig. 10 distribution is
+        # the bucket column's histogram, memory ops split by L1 outcome
+        dist_n = list(map(bucket.count, range(len(_BUCKET_NAMES))))
+        dist_n[_B_MEM_LL] -= st_mem_hl
+        dist_n[_B_MEM_HL] = st_mem_hl
+        stats.distribution.counts.update(zip(_BUCKET_NAMES[1:],
+                                             dist_n[1:]))
 
         stats.width_aggressive_rate = (w_aggr / w_lookups if w_lookups
                                        else 0.0)

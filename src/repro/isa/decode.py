@@ -473,6 +473,13 @@ def _store(instr: Instruction, pc: int, m: Machine) -> Step:
 
 # --- control ------------------------------------------------------------
 
+#: per condition, whether it holds at each of the 16 NZCV flag values:
+#: the golden model's answers, tabulated once
+_TAKEN_AT = {cond: tuple(cond_holds(cond, Flags.unpack(f))
+                         for f in range(16))
+             for cond in Cond}
+
+
 def _branch(instr: Instruction, pc: int, m: Machine) -> Step:
     """B and BL; the condition is a table over the 16 flag values."""
     regs, record, entry = m.regs, m.record, m.entry
@@ -480,8 +487,9 @@ def _branch(instr: Instruction, pc: int, m: Machine) -> Step:
     target = instr.target
     link = instr.op is Opcode.BL and instr.rd is not None
     d, wm = (reg_id(instr.rd), reg_mask(instr.rd)) if link else (ZERO, 0)
-    taken_at = tuple(cond_holds(instr.cond, Flags.unpack(f))
-                     for f in range(16))
+    taken_at = _TAKEN_AT.get(instr.cond)
+    if taken_at is None:
+        raise ValueError(f"branch condition {instr.cond!r} is not a Cond")
 
     if instr.cond is Cond.AL and not link and isinstance(target, int):
         def jump() -> int:

@@ -43,7 +43,7 @@ class MemoryHierarchy:
                         assoc=config.l1_assoc, line_bytes=config.line_bytes)
         self.l2 = Cache("L2", size_bytes=config.l2_size,
                         assoc=config.l2_assoc, line_bytes=config.line_bytes)
-        self._stride = StridePrefetcher()
+        self._stride = StridePrefetcher(line_bytes=config.line_bytes)
         self._next_line = NextLinePrefetcher(line_bytes=config.line_bytes)
         #: cycles to an L1 hit, an L2 hit and a DRAM fill (cumulative),
         #: and the prefetch switch, read per access

@@ -10,7 +10,9 @@ from repro.core.config import CoreConfig
 from repro.core.cpu import CoreSimulator
 from repro.obs import Recorder
 from repro.pipeline.trace import generate_trace
+from repro.verify.generator import ProgramGenerator
 from repro.workloads.suites import SUITES
+from tests.config_variants import FIELD_VARIANTS
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +132,31 @@ class TestBackendEquivalence:
                             replace(config, engine="compiled"),
                             obs=Recorder())
         assert observed.stats == plain.stats
+
+
+@pytest.fixture(scope="module")
+def fuzz_trace():
+    # program 54 of seed 0: 274 entries with stores and multiplies that
+    # make eager (GP) issues on the small core in both recycling modes;
+    # ml/pool0 at scale 3 makes none
+    return generate_trace(ProgramGenerator(0).program(54))
+
+
+class TestConfigVariantEquivalence:
+    """Both engines off the presets: every ``CoreConfig`` field moved to
+    a non-preset value, one at a time on the small core, in every mode
+    (``mode`` itself is the mode axis).  The compiled replay bakes
+    scheduler, eager-issue, adaptive-threshold, tick, PVT, memory and
+    unit-count settings into its loop, so each must agree with the
+    reference engine on its own."""
+
+    @pytest.mark.parametrize("name", sorted(set(FIELD_VARIANTS) - {"mode"}))
+    def test_engines_bit_identical(self, tiny_trace, fuzz_trace, name):
+        for trace in (tiny_trace, fuzz_trace):
+            for mode in RecycleMode:
+                cfg = replace(CORES["small"].with_mode(mode),
+                              **{name: FIELD_VARIANTS[name]})
+                assert simulate(trace, replace(
+                    cfg, engine="compiled")).stats == simulate(
+                    trace, replace(cfg, engine="reference")).stats, \
+                    (trace.name, mode)

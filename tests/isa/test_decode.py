@@ -203,7 +203,9 @@ def test_every_simd_type_matches_execute(op, dtype, st_):
     (_ins(Opcode.ORR, rd=r(0), rn=r(1), imm="1"), TypeError, TypeError),
     (_ins(Opcode.EOR, rd=r(0), rn=r(1), rm=r(2), shift=ShiftOp.LSL,
           shift_amt=None), TypeError, TypeError),
-], ids=["no-rd", "no-rs", "str-imm", "no-shift-amount"])
+    # execute looks the condition up when the branch runs
+    (_ins(Opcode.B, target=3, cond="eq"), ValueError, KeyError),
+], ids=["no-rd", "no-rs", "str-imm", "no-shift-amount", "non-cond"])
 def test_malformed_instruction_raises_only_when_reached(bad, error,
                                                         golden_error):
     step = decode(bad, 0, Machine(new_registers(), Memory(), [].append,

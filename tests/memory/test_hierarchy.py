@@ -41,6 +41,16 @@ class TestLoadLatencies:
         assert latencies[0] == total_latency()
         assert all(lat == mem.config.l1_latency for lat in latencies[4:])
 
+    def test_stride_prefetch_steps_whole_configured_lines(self):
+        # an 8-byte stride is clamped to one line per step, and the line
+        # is the hierarchy's own: with 128-byte lines the first prefetch
+        # must land past the line being fetched (not at 24 + 64 = 88)
+        mem = make(line_bytes=128)
+        for addr in (0, 8, 16, 24):
+            mem.load_latency(addr, pc=12)
+        assert [mem.is_l1_hit(k * 128) for k in range(1, 5)] == \
+            [True] * 4
+
     def test_custom_latency_parameters_respected(self):
         config = MemoryConfig(l1_latency=3, l2_latency=20,
                               dram_latency=200, prefetch=False)
