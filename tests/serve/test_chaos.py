@@ -26,8 +26,9 @@ from repro.serve import ServeClient, ServeConfig, ServeDaemon
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
-#: ~2 s of cold simulation — long enough to be mid-flight on a kill
-SLOW_SPIN = "mov r1, #20000\nloop:\nsubs r1, r1, #1\nbne loop\nhalt"
+#: ~1 s of cold simulation on a 2-vCPU host — long enough to be
+#: mid-flight when the worker is killed 0.6 s in
+SLOW_SPIN = "mov r1, #60000\nloop:\nsubs r1, r1, #1\nbne loop\nhalt"
 
 
 class TestWorkerKillMidRequest:
@@ -99,7 +100,7 @@ class TestSigtermDrainUnderLoad:
         def one_request(lane):
             # distinct iteration counts -> distinct work, no dedup,
             # each ~0.1-0.3 s: plenty still in flight at SIGTERM
-            asm = SLOW_SPIN.replace("#20000", f"#{1500 + lane * 300}")
+            asm = SLOW_SPIN.replace("#60000", f"#{6000 + lane * 1200}")
             with ServeClient(port=port, timeout_s=60,
                              max_retries=0) as c:
                 return c.simulate(asm=asm, core="small",

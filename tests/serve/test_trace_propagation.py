@@ -262,10 +262,11 @@ class TestChaosRetrySpans:
         outcome = {}
         try:
             def slow_request():
-                # ~2 s of cold simulation: mid-flight when killed
+                # ~1 s of cold simulation on a 2-vCPU host:
+                # mid-flight when killed 0.6 s in
                 response, payload = _raw_post(
                     port, "/v1/simulate",
-                    {"api": 1, "asm": SPIN % 20000, "core": "small",
+                    {"api": 1, "asm": SPIN % 60000, "core": "small",
                      "mode": "baseline"},
                     headers={"traceparent": ctx.to_traceparent()})
                 outcome["status"] = response.status
