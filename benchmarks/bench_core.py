@@ -23,8 +23,12 @@ timing so allocator and bytecode-cache effects land outside the window.
 
 Results go to ``BENCH_core.json`` (schema 3) with one row per
 ``(job, engine)``, one aggregate per engine, and the host's CPU count
-and Python version.  ``--update-reference`` refuses (exit 2, reference
-untouched) when any engine's cold or warm quanta spread — IQR over
+and Python version.  ``--update-reference`` measures
+:data:`UPDATE_PASSES` whole passes and commits, for every engine and
+row, each metric's median over the passes: one pass's minima swing by
+more than the gate's tolerance on a shared host, so a single pass is
+not a steady baseline.  It refuses (exit 2, reference untouched) when
+any pass's (or the median's) cold or warm quanta spread — IQR over
 median of the per-repeat totals — exceeds :data:`MAX_SPREAD`: a number
 that noisy is not worth committing.  ``--check`` gates against a
 committed reference (``benchmarks/core_reference.json``):
@@ -81,6 +85,9 @@ SCHEMA = 3
 #: largest IQR / median of an engine's per-repeat quanta totals that
 #: ``--update-reference`` accepts
 MAX_SPREAD = 0.15
+
+#: whole benchmark passes ``--update-reference`` takes the median of
+UPDATE_PASSES = 3
 
 #: iteration count of the machine-speed calibration probe; sized so one
 #: pass takes ~25 ms on a 2020s-era core — cheap enough to run before
@@ -243,6 +250,25 @@ def run_bench(jobs, repeats: int, engines, *, quiet: bool = False) -> dict:
     }
 
 
+def median_payload(passes) -> dict:
+    """One payload holding, per engine aggregate and per job row, the
+    median of every timing metric over *passes* (identical runs of
+    :func:`run_bench`); counts and labels come from the first pass."""
+    def merge(records):
+        return {key: (statistics.median(r[key] for r in records)
+                      if isinstance(value, float) else value)
+                for key, value in records[0].items()}
+
+    merged = dict(passes[0])
+    merged["aggregates"] = {
+        engine: merge([p["aggregates"][engine] for p in passes])
+        for engine in passes[0]["aggregates"]}
+    if "jobs" in merged:
+        merged["jobs"] = [merge(rows)
+                          for rows in zip(*(p["jobs"] for p in passes))]
+    return merged
+
+
 def spread_failures(payload: dict) -> list:
     """Engines whose cold or warm quanta spread exceeds MAX_SPREAD."""
     failures = []
@@ -369,7 +395,8 @@ def main(argv=None):
                         default=DEFAULT_TOLERANCE,
                         help="max relative regression (default: 0.10)")
     parser.add_argument("--update-reference", action="store_true",
-                        help="rewrite the reference from this run "
+                        help="rewrite the reference from the per-metric "
+                             f"medians of {UPDATE_PASSES} passes "
                              "(preserves a hand-maintained floors "
                              "section)")
     parser.add_argument("--quiet", action="store_true")
@@ -382,7 +409,13 @@ def main(argv=None):
                               modes=args.modes)
     engines = args.engines or list(ENGINES.names())
 
-    payload = run_bench(jobs, args.repeats, engines, quiet=args.quiet)
+    passes = []
+    for index in range(UPDATE_PASSES if args.update_reference else 1):
+        if args.update_reference and not args.quiet:
+            print(f"pass {index + 1} of {UPDATE_PASSES}")
+        passes.append(run_bench(jobs, args.repeats, engines,
+                                quiet=args.quiet))
+    payload = median_payload(passes)
 
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -390,7 +423,11 @@ def main(argv=None):
     print(f"wrote {args.output}")
 
     if args.update_reference:
-        failures = spread_failures(payload)
+        failures = [f"pass {index + 1}: {failure}"
+                    for index, run in enumerate(passes)
+                    for failure in spread_failures(run)]
+        failures += [f"median: {failure}"
+                     for failure in spread_failures(payload)]
         if failures:
             print(f"error: spread too wide to commit; {args.reference} "
                   f"left unchanged:", file=sys.stderr)

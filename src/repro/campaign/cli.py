@@ -229,15 +229,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"cycles={record.cycles:<8d} ipc={record.ipc:.3f} "
                   f"({record.wall_time_s:.2f}s)")
 
-    logger = None
-    if args.log_json:
-        from repro.obs.log import stderr_logger
-        logger = stderr_logger(component="campaign")
-    result = run_campaign(jobs, workers=max(1, args.jobs),
-                          cache_dir=args.cache_dir, force=args.force,
-                          progress=progress,
-                          profile_dir=args.profile_dir,
-                          logger=logger)
+    from repro.obs.log import stderr_logger, stdlib_logs_to
+    logger = stderr_logger(component="campaign") if args.log_json else None
+    with stdlib_logs_to(logger):
+        result = run_campaign(jobs, workers=max(1, args.jobs),
+                              cache_dir=args.cache_dir, force=args.force,
+                              progress=progress,
+                              profile_dir=args.profile_dir,
+                              logger=logger)
     path = write_campaign_json(result, args.output)
     if not args.quiet:
         print()

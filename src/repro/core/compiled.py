@@ -33,12 +33,14 @@ of time as plain-list columns:
 * **decode columns** — transparency, latency, static EX-TIME, width
   buckets, the width-resolved actual EX-TIME and the Fig. 10
   operation-distribution bucket per entry, built once per run from the
-  static decode table (:func:`decode_static`, one row per static
-  instruction) and gathered per entry; since every entry commits
-  exactly once, the run's distribution is that column's histogram, with
-  the memory ops that missed L1 moved from MEM-LL to MEM-HL;
+  static decode table (:func:`~repro.core.slack_lut.decode_static`,
+  one row per static instruction) and gathered per entry; since every
+  entry commits exactly once, the run's distribution is that column's
+  histogram, with the memory ops that missed L1 moved from MEM-LL to
+  MEM-HL;
 * **slack LUT / tick base** — read-only after construction and shared
-  process-wide per (ticks, tech, PVT) instead of rebuilt per run.
+  process-wide per (ticks, tech, PVT) instead of rebuilt per run
+  (:func:`~repro.core.slack_lut.shared_lut`).
 
 What remains per run is the serializing replay of the machine itself —
 wakeup/select, FU reservation, ROB/RS/LSQ occupancy, the width/
@@ -77,16 +79,10 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.stats import HIGH_SLACK_FRACTION, SimStats
-from repro.isa.opcodes import (
-    ARITH_OPS,
-    OpClass,
-    Opcode,
-    SIMD_ACCUMULATE_OPS,
-    SIMD_SINGLE_CYCLE_OPS,
-)
+from repro.isa.opcodes import OpClass
 from repro.isa.semantics import width_bucket
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.trace import Trace
@@ -94,22 +90,16 @@ from repro.pipeline.uop import OPCLASS_INDEX
 
 from .config import (
     CoreConfig,
-    DIV_LATENCY,
     EAGER_SPARE_UNITS,
-    FDIV_LATENCY,
-    FP_LATENCY,
     MISPREDICT_PENALTY,
-    MUL_LATENCY,
     RecycleMode,
     REPLAY_PENALTY,
     SchedulerDesign,
-    SIMD_MULTICYCLE_LATENCY,
     TAKEN_BRANCHES_PER_CYCLE,
     THRESHOLD_WINDOW,
 )
 from .lower import LoweredTrace, lower_trace
-from .slack_lut import SlackLUT
-from .ticks import TickBase
+from .slack_lut import SlackLUT, decode_static, shared_lut
 
 _I_ALU = OPCLASS_INDEX[OpClass.ALU]
 _I_SIMD = OPCLASS_INDEX[OpClass.SIMD]
@@ -138,50 +128,6 @@ _BUCKET_NAMES = (None, "MEM-LL", "MEM-HL", "SIMD", "OtherMulti", "ALU-LS",
 _CLASS_BUCKET = {_I_LOAD: _B_MEM_LL, _I_STORE: _B_MEM_LL,
                  _I_SIMD: _B_SIMD, _I_MUL: _B_MULTI, _I_DIV: _B_MULTI,
                  _I_FP: _B_MULTI}
-
-
-def decode_static(instr, transparent: bool, lut: SlackLUT,
-                  tpc: int) -> tuple:
-    """(transparent, latency, static EX-TIME, width-dynamic?) of a
-    static instruction — the exact :meth:`CoreSimulator._decode_static`
-    table; *transparent* says whether recycling is on."""
-    op = instr.op
-    cls = instr.cls
-    if cls is OpClass.ALU:
-        if op in ARITH_OPS:
-            return (transparent, 1, 0, True)
-        return (transparent, 1, lut.ex_time(instr), False)
-    if cls is OpClass.SIMD:
-        if op in SIMD_SINGLE_CYCLE_OPS:
-            return (transparent, 1, lut.ex_time(instr), False)
-        if op in SIMD_ACCUMULATE_OPS:
-            return (transparent, SIMD_MULTICYCLE_LATENCY,
-                    lut.ex_time(instr), False)
-        return (False, SIMD_MULTICYCLE_LATENCY, tpc, False)
-    if cls is OpClass.MUL:
-        return (False, MUL_LATENCY, tpc, False)
-    if cls is OpClass.DIV:
-        return (False, DIV_LATENCY, tpc, False)
-    if cls is OpClass.FP:
-        return (False, FDIV_LATENCY if op is Opcode.FDIV
-                else FP_LATENCY, tpc, False)
-    return (False, 1, tpc, False)
-
-
-#: process-wide read-only SlackLUT / TickBase per timing corner — the
-#: LUT is pure design-time analysis, identical for every run that
-#: shares (ticks_per_cycle, tech, pvt_scale)
-_lut_memo: Dict[tuple, Tuple[TickBase, SlackLUT]] = {}
-
-
-def _shared_lut(config: CoreConfig) -> Tuple[TickBase, SlackLUT]:
-    key = (config.ticks_per_cycle, config.tech, config.pvt_scale)
-    pair = _lut_memo.get(key)
-    if pair is None:
-        base = TickBase(config.ticks_per_cycle, config.tech)
-        lut = SlackLUT(base, pvt_scale=config.pvt_scale)
-        pair = _lut_memo[key] = (base, lut)
-    return pair
 
 
 # ---------------------------------------------------------------------
@@ -321,7 +267,7 @@ class CompiledSimulator:
         low: LoweredTrace = lower_trace(trace)
         n = low.n
 
-        base, lut = _shared_lut(config)
+        base, lut = shared_lut(config)
         mem = MemoryHierarchy(config.memory)
         load_latency = mem.load_latency
         store_latency = mem.store_latency
@@ -1132,4 +1078,4 @@ class CompiledSimulator:
         return SimResult(name=trace.name, config=config, stats=stats)
 
 
-__all__ = ["CompiledSimulator", "decode_static"]
+__all__ = ["CompiledSimulator"]

@@ -9,7 +9,10 @@ drives each cycle:
 * :class:`ReadyQueues` — wakeup bookkeeping: consumers become
   select-eligible when their *watched* tags have broadcast (all sources
   in the Illustrative design / baseline; only the predicted-last parent
-  in the Operational design);
+  in the Operational design), then wait in per-class age-ordered lanes;
+* :func:`unissued_sources` / :func:`last_source_avail` — the issue-time
+  operand checks: a source that has not issued forces a replay, and
+  the latest availability tick (the MAX logic) bounds the start;
 * :func:`eager_issue_allowed` / :func:`other_sources_ready` — the
   Eager Grandparent Wakeup grant checks: whether a child may issue *in
   the same cycle as its parent* to catch its slack (Sec. IV-B), subject
@@ -17,15 +20,15 @@ drives each cycle:
   the single-cycle fit condition.  The simulator collects the
   candidates (``CoreSimulator._gp_candidates``).
 
-Selection itself (oldest-first, skewed) lives in
-:mod:`repro.core.select`.
+Selection itself (oldest-first, skewed or plain) is the select stage
+of each engine (``CoreSimulator._schedule`` and ``_gp_phase``);
+:mod:`repro.core.select` models the Fig. 9 arbiter circuit on its own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heappop, heappush
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import OpClass
 from repro.obs.events import Event, EventKind
@@ -70,33 +73,28 @@ class ReadyQueues:
 
     Consumers whose watched tags have all broadcast are *scheduled* to
     wake at their computed wake cycle; each simulated cycle the core
-    drains that cycle's wakeups into per-FU-class pending queues, kept
+    drains that cycle's wakeups into one ready lane per FU class, kept
     in age (sequence-number) order for oldest-first selection.
-
-    The structure is indexed for the hot loop:
 
     * wake buckets live in a ``cycle -> [uops]`` map with a min-heap of
       bucket cycles, so :meth:`advance_to` is an O(1) peek on idle
       cycles and touches only due buckets;
-    * per-class pending queues are seq-sorted lists addressed by the
-      uop's :data:`~repro.pipeline.uop.OPCLASS_INDEX` (no enum hashing),
-      and :meth:`remove` is an O(1) tombstone (``uop.in_ready`` flips
-      off; the slot is compacted lazily) instead of a list ``pop``;
-    * a uop is never queued twice: re-waking a tombstoned entry
-      resurrects its existing slot, which also makes duplicate
-      ``schedule_wake`` calls harmless.
+    * each lane (``lanes[uop.cls_idx]``) is a heap of ``(seq, uop)``
+      with lazy deletion: a uop is live while ``uop.in_ready`` is set,
+      :meth:`remove` only clears it, and select pops stale heads along
+      with every head it issues or replays.  A removed-then-re-woken
+      uop may sit in its lane twice; the copies are adjacent and the
+      first one select handles clears the flag, so the other pops as
+      stale and the uop is offered at most once per scan.
     """
 
-    __slots__ = ("_wake_at", "_wake_heap", "_queues", "_seqs", "_dead",
-                 "obs")
+    __slots__ = ("_wake_at", "_wake_heap", "lanes", "obs")
 
     def __init__(self) -> None:
-        n_classes = len(OPCLASS_INDEX)
         self._wake_at: Dict[int, List[Uop]] = {}
         self._wake_heap: List[int] = []
-        self._queues: List[List[Uop]] = [[] for _ in range(n_classes)]
-        self._seqs: List[List[int]] = [[] for _ in range(n_classes)]
-        self._dead: List[int] = [0] * n_classes
+        self.lanes: List[List[Tuple[int, Uop]]] = [
+            [] for _ in range(len(OPCLASS_INDEX))]
         #: event sink (attached by the simulator on traced runs)
         self.obs = None
 
@@ -109,12 +107,13 @@ class ReadyQueues:
             bucket.append(uop)
 
     def advance_to(self, cycle: int) -> None:
-        """Drain wakeups due at or before *cycle* into the queues."""
+        """Drain wakeups due at or before *cycle* into the lanes."""
         heap = self._wake_heap
         if not heap or heap[0] > cycle:
             return
         obs = self.obs
         wake_at = self._wake_at
+        lanes = self.lanes
         while heap and heap[0] <= cycle:
             for uop in wake_at.pop(heappop(heap)):
                 if uop.state is not UopState.DISPATCHED or uop.in_ready:
@@ -122,53 +121,25 @@ class ReadyQueues:
                 if obs is not None:
                     obs.emit(Event(EventKind.WAKEUP, cycle, uop.seq,
                                    {"fu": uop.fu_class.value}))
-                idx = uop.cls_idx
-                seqs = self._seqs[idx]
-                pos = bisect_left(seqs, uop.seq)
-                if pos < len(seqs) and seqs[pos] == uop.seq:
-                    # resurrect this uop's tombstoned slot (seqs are
-                    # unique, so an equal seq is the same uop)
-                    self._dead[idx] -= 1
-                else:
-                    seqs.insert(pos, uop.seq)
-                    self._queues[idx].insert(pos, uop)
+                heappush(lanes[uop.cls_idx], (uop.seq, uop))
                 uop.in_ready = True
 
-    def lane(self, idx: int) -> List[Uop]:
-        """The class-*idx* queue list for the simulator's select lanes.
+    def remove(self, uop: Uop) -> None:
+        uop.in_ready = False
 
-        Returned by reference (compaction mutates it in place, so the
-        simulator may prebuild lane tuples once and keep them); iterate
-        it skipping entries whose ``in_ready`` flag is off.  Compaction
-        is amortised: tombstones are reclaimed once enough accumulate.
-        """
-        if self._dead[idx] > 8:
-            self._compact(idx)
-        return self._queues[idx]
-
-    def _compact(self, idx: int) -> None:
-        queue = self._queues[idx]
-        live = [u for u in queue
-                if u.in_ready and u.state is UopState.DISPATCHED]
-        queue[:] = live
-        self._seqs[idx][:] = [u.seq for u in live]
-        self._dead[idx] = 0
+    def oldest(self, op_class: OpClass) -> Optional[Uop]:
+        """The oldest live request of *op_class* (stale heads pop), or
+        ``None`` when the lane holds none."""
+        lane = self.lanes[OPCLASS_INDEX[op_class]]
+        while lane and not lane[0][1].in_ready:
+            heappop(lane)
+        return lane[0][1] if lane else None
 
     def pending(self, op_class: OpClass) -> List[Uop]:
-        """Live pending requests, oldest first (lazily pruned)."""
-        idx = OPCLASS_INDEX[op_class]
-        queue = self._queues[idx]
-        for uop in queue:
-            if not (uop.in_ready and uop.state is UopState.DISPATCHED):
-                self._compact(idx)
-                break
-        return list(queue)
-
-    def remove(self, uop: Uop) -> None:
-        if not uop.in_ready:
-            return
-        uop.in_ready = False
-        self._dead[uop.cls_idx] += 1
+        """Live pending requests of *op_class*, oldest first."""
+        lane = self.lanes[OPCLASS_INDEX[op_class]]
+        return [uop for _, uop in sorted(set(lane))
+                if uop.in_ready and uop.state is UopState.DISPATCHED]
 
 
 def eager_issue_allowed(parent: Uop, child: Uop, *, mode: RecycleMode,

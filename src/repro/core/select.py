@@ -14,8 +14,11 @@ can never be granted while its (P-woken) parent is denied — eliminating
 GP-mispeculation (Sec. IV-D).
 
 Implemented both ways: a bit-level model mirroring the paper's circuit
-(used by unit tests and small windows) and the equivalent sort-based
-fast path used in the hot simulator loop.
+and the equivalent sort-based behavioural model; the tests check that
+the two grant alike.  This module is a model of the circuit only: the
+engines' select stages (``CoreSimulator._schedule`` / ``_gp_phase``
+and the compiled replay's ``schedule``) grant inline, P requests
+oldest-first per FU class before GP requests, and call nothing here.
 """
 
 from __future__ import annotations

@@ -31,6 +31,8 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     ARITH_OPS,
     LOGICAL_OPS,
+    OpClass,
+    Opcode,
     SHIFT_OPS,
     SIMD_ACCUMULATE_OPS,
     SIMD_SINGLE_CYCLE_OPS,
@@ -44,6 +46,14 @@ from repro.timing.simd_timing import (
     vmla_accumulate_delay_ps,
 )
 
+from .config import (
+    CoreConfig,
+    DIV_LATENCY,
+    FDIV_LATENCY,
+    FP_LATENCY,
+    MUL_LATENCY,
+    SIMD_MULTICYCLE_LATENCY,
+)
 from .ticks import DEFAULT_TICK_BASE, TickBase
 
 #: The four width/type classes (scalar widths in bits / SIMD lane types).
@@ -244,3 +254,60 @@ class SlackLUT:
         self.pvt_scale = scale
         self._table.clear()
         self._build()
+
+
+#: one read-only (TickBase, SlackLUT) pair per timing corner
+_lut_memo: Dict[tuple, Tuple[TickBase, SlackLUT]] = {}
+
+
+def shared_lut(config: CoreConfig) -> Tuple[TickBase, SlackLUT]:
+    """The process-wide tick base and slack LUT of *config*'s corner.
+
+    The LUT is pure design-time analysis, identical for every run that
+    shares ``(ticks_per_cycle, tech, pvt_scale)``, so it is built once
+    and shared: callers only read it and must never
+    :meth:`~SlackLUT.recalibrate_pvt` it (the PVT recalibrator builds
+    its own).
+    """
+    key = (config.ticks_per_cycle, config.tech, config.pvt_scale)
+    pair = _lut_memo.get(key)
+    if pair is None:
+        base = TickBase(config.ticks_per_cycle, config.tech)
+        pair = _lut_memo[key] = (base, SlackLUT(base,
+                                                pvt_scale=config.pvt_scale))
+    return pair
+
+
+def decode_static(instr: Instruction, transparent: bool, lut: SlackLUT,
+                  tpc: int) -> tuple:
+    """(transparent, latency, static EX-TIME, width-dynamic?) of a
+    static instruction; *transparent* says whether recycling is on.
+
+    The EX-TIME slot is authoritative for every class whose LUT bucket
+    ignores data width (logic/shift ALU ops, SIMD by lane type,
+    full-cycle multi-cycle classes); arithmetic ALU ops return a
+    ``True`` last field and resolve EX-TIME per dynamic instance from
+    the predicted/observed widths instead.
+    """
+    op = instr.op
+    cls = instr.cls
+    if cls is OpClass.ALU:
+        if op in ARITH_OPS:
+            return (transparent, 1, 0, True)
+        return (transparent, 1, lut.ex_time(instr), False)
+    if cls is OpClass.SIMD:
+        if op in SIMD_SINGLE_CYCLE_OPS:
+            return (transparent, 1, lut.ex_time(instr), False)
+        if op in SIMD_ACCUMULATE_OPS:
+            return (transparent, SIMD_MULTICYCLE_LATENCY,
+                    lut.ex_time(instr), False)
+        return (False, SIMD_MULTICYCLE_LATENCY, tpc, False)
+    if cls is OpClass.MUL:
+        return (False, MUL_LATENCY, tpc, False)
+    if cls is OpClass.DIV:
+        return (False, DIV_LATENCY, tpc, False)
+    if cls is OpClass.FP:
+        return (False, FDIV_LATENCY if op is Opcode.FDIV
+                else FP_LATENCY, tpc, False)
+    # BRANCH / LOAD / STORE / NOP / HALT
+    return (False, 1, tpc, False)

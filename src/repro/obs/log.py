@@ -20,18 +20,22 @@ Two deliberate design constraints:
 
 :class:`JsonLogHandler` bridges stdlib :mod:`logging` records (the
 campaign cache's corrupt-entry warnings, third-party libraries) into
-the same stream, preserving ``extra={...}`` fields.
+the same stream, preserving ``extra={...}`` fields;
+:func:`stdlib_logs_to` installs it on the ``repro`` logger for the
+three ``--log-json`` entry points (``campaign run``, ``verify fuzz``,
+``serve start``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
 import sys
 import threading
 import time
-from typing import Any, Dict, IO, List, Optional
+from typing import Any, Dict, IO, Iterator, List, Optional
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
@@ -164,6 +168,32 @@ class JsonLogHandler(logging.Handler):
                 message=record.getMessage(), **fields)
         except Exception:   # logging must never raise
             self.handleError(record)
+
+
+@contextlib.contextmanager
+def stdlib_logs_to(logger: Optional[JsonLogger]) -> Iterator[None]:
+    """Inside the block, route the ``repro`` stdlib logger's records
+    through *logger* only (``None``: leave logging as it is).
+
+    Propagation stops while the handler is installed, so a
+    ``--log-json`` stream stays one JSON object per line; otherwise
+    the stdlib's last-resort handler prints a warning, such as the
+    campaign cache's corrupt-entry one, as a plain-text line.  Worker
+    processes forked inside the block inherit the routing.
+    """
+    if logger is None:
+        yield
+        return
+    target = logging.getLogger("repro")
+    handler = JsonLogHandler(logger)
+    propagate = target.propagate
+    target.addHandler(handler)
+    target.propagate = False
+    try:
+        yield
+    finally:
+        target.removeHandler(handler)
+        target.propagate = propagate
 
 
 def capture_logger() -> "tuple[JsonLogger, io.StringIO]":

@@ -74,8 +74,10 @@ class FUPool:
 class ExecutionResources:
     """All FU pools of a core (Table I's ALU/SIMD/FP columns + memory).
 
-    Loads/stores share ``mem_ports``; MUL/DIV share the SIMD/FP pools'
-    sibling integer-complex unit, modelled as its own small pool.
+    Every class has a pool of its own.  LOAD and STORE each get
+    ``mem_ports`` units (a load never waits for a store's port), and
+    MUL and DIV each get ``complex_units`` units.  Both engines size
+    their pools this way.
     """
 
     def __init__(self, *, alu: int, simd: int, fp: int, mem_ports: int,

@@ -59,9 +59,9 @@ class Uop:
         self.state = UopState.DISPATCHED
         self.fu_class: OpClass = entry.cls
         self.cls_idx = OPCLASS_INDEX[self.fu_class]
-        #: live entry in the ready (pending-select) queue of its class;
-        #: cleared by ReadyQueues.remove (tombstone — the queue slot is
-        #: reclaimed lazily, so removal is O(1))
+        #: a live request in its class's ready lane; cleared by
+        #: ReadyQueues.remove, after which the lane's heap entry is
+        #: stale and select pops it when it reaches the head
         self.in_ready = False
         self.latency_cycles = 1
         self.transparent = False

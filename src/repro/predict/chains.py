@@ -47,7 +47,7 @@ from repro.core.config import (
     MISPREDICT_PENALTY,
     TAKEN_BRANCHES_PER_CYCLE,
 )
-from repro.core.slack_lut import SlackLUT
+from repro.core.slack_lut import SlackLUT, decode_static, shared_lut
 from repro.isa.opcodes import ARITH_OPS, Cond, OpClass, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.branch import GsharePredictor
@@ -141,14 +141,9 @@ class TraceFeatures:
 def _static_timing(instr, lut: SlackLUT, tpc: int,
                    op_width: int) -> Tuple[bool, int, int]:
     """(transparent-capable, latency_cycles, ex_ticks) of one dynamic
-    instruction — the compiled engine's decode table with recycling
-    on, with the observed width standing in for the width predictor
+    instruction — the engines' static decode table with recycling on,
+    with the observed width standing in for the width predictor
     (its mispredict replays are noise the calibration absorbs)."""
-    # imported here, not at module level, so that importing the
-    # predictor (the serve daemon does, for inline estimates) does not
-    # load the compiled engine
-    from repro.core.compiled import decode_static
-
     transparent, latency, ex, width_dynamic = decode_static(
         instr, True, lut, tpc)
     if width_dynamic:
@@ -172,15 +167,10 @@ def extract_features(trace: Trace, config: CoreConfig, *,
     constraint; pass ``window=0`` to disable it and measure the pure
     dataflow limit.
     """
-    # the compiled engine's process-wide LUT for this timing corner
-    # (the walk only reads it); imported here for the reason
-    # _static_timing gives
-    from repro.core.compiled import _shared_lut
-
     if window is None:
         window = config.rob_size
     tpc = config.ticks_per_cycle
-    _, lut = _shared_lut(config)
+    _, lut = shared_lut(config)
     mem = MemoryHierarchy(config.memory)
     branch_pred = GsharePredictor()
     l1_latency = config.memory.l1_latency

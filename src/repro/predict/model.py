@@ -41,8 +41,10 @@ from .chains import TraceFeatures, extract_features
 FEATURE_NAMES = ("base", "crit", "fu", "front", "taken", "bmiss", "mem",
                  "memc")
 
-#: functional-unit pool sizing per operation class (mirrors
-#: repro.pipeline.resources.FUPools)
+#: the unit count bounding each operation class's throughput; classes
+#: that name the same count add their demand (so loads and stores share
+#: ``mem_ports``, MUL and DIV ``complex_units``), unlike the engines'
+#: pools (repro.pipeline.resources.ExecutionResources: one per class)
 _POOL_ATTR = {
     "alu": "alu_units",
     "simd": "simd_units",

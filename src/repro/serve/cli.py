@@ -29,6 +29,8 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro.obs.log import stderr_logger, stdlib_logs_to
+
 from .app import ServeConfig, ServeDaemon
 from .client import ServeClient, ServeError
 from .loadgen import DEFAULT_OUTPUT, estimate_mix, run_loadgen, \
@@ -146,7 +148,9 @@ def _cmd_start(args: argparse.Namespace) -> int:
     def announce(message: str) -> None:
         print(message, flush=True)
 
-    return daemon.run(announce=announce)
+    logger = stderr_logger(component="serve") if args.log_json else None
+    with stdlib_logs_to(logger):
+        return daemon.run(announce=announce)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:

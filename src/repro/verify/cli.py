@@ -159,10 +159,11 @@ def _print_listing(spec: ProgramSpec) -> None:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.obs.log import stderr_logger, stdlib_logs_to
+
     store = ArtifactStore(args.out)
     logger = None
     if args.log_json:
-        from repro.obs.log import stderr_logger
         from repro.obs.trace import IdSource
         session_id = IdSource(args.seed).trace_id()
         logger = stderr_logger(component="verify").bind(
@@ -183,15 +184,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"[FAIL] {verdict.name}: {first} "
                   f"(+{len(verdict.divergences) - 1} more)")
 
-    outcome = run_fuzz(budget=args.budget, seed=args.seed,
-                       config=CORES[args.config],
-                       metamorphic=not args.no_metamorphic,
-                       engines=args.engines,
-                       do_shrink=not args.no_shrink,
-                       defect=args.self_check,
-                       max_failures=args.max_failures,
-                       simulate_fn=_simulate_fn(args),
-                       store=store, progress=progress)
+    with stdlib_logs_to(logger):
+        outcome = run_fuzz(budget=args.budget, seed=args.seed,
+                           config=CORES[args.config],
+                           metamorphic=not args.no_metamorphic,
+                           engines=args.engines,
+                           do_shrink=not args.no_shrink,
+                           defect=args.self_check,
+                           max_failures=args.max_failures,
+                           simulate_fn=_simulate_fn(args),
+                           store=store, progress=progress)
     if logger is not None:
         logger.info("fuzz.done",
                     programs_run=outcome.programs_run,

@@ -78,6 +78,26 @@ def test_report_and_clean_with_explicit_cache_dir(tmp_path):
     assert not list(cache.glob("*.json"))
 
 
+def test_log_json_keeps_stderr_json_with_a_corrupt_entry(tmp_path):
+    # the cache's corrupt-entry warning goes through stdlib logging;
+    # under --log-json it must arrive as one more JSON line
+    cache = tmp_path / "cache"
+    args = RUN_ARGS + ["--jobs", "1", "--cache-dir", str(cache), "-q"]
+    proc = _campaign(args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    entry = sorted(cache.glob("*.json"))[0]
+    entry.write_text(entry.read_text()[:20])      # a torn write
+    proc = _campaign(args + ["--log-json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines
+    objs = [json.loads(line) for line in lines]
+    (warning,) = [o for o in objs if o["event"] == "repro.campaign.cache"]
+    assert warning["level"] == "warning"
+    assert warning["entry"] == str(entry)
+    assert warning["component"] == "campaign"
+
+
 def test_run_payload_carries_telemetry(tmp_path):
     proc = _campaign(RUN_ARGS + ["--jobs", "1", "-q"], tmp_path)
     assert proc.returncode == 0, proc.stderr

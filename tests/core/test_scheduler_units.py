@@ -1,5 +1,6 @@
 """Unit tests for the wakeup/eager-issue machinery in core.scheduler."""
 
+from heapq import heappop
 
 from repro.core.config import RecycleMode
 from repro.core.scheduler import (
@@ -26,6 +27,17 @@ def make_uop(seq=0, op=Opcode.ADD, transparent=True):
     uop = Uop(seq, entry)
     uop.transparent = transparent
     return uop
+
+
+def drain(queues, op_class=OpClass.ALU):
+    """Issue every live request of one lane the way the select stage
+    does: the oldest live head issues (its flag clears) and pops."""
+    issued = []
+    while (uop := queues.oldest(op_class)) is not None:
+        queues.remove(uop)
+        heappop(queues.lanes[uop.cls_idx])
+        issued.append(uop)
+    return issued
 
 
 def issue(uop, cycle, start, ex):
@@ -109,21 +121,6 @@ class TestReadyQueues:
         queues.remove(a)
         assert queues.pending(OpClass.ALU) == [b]
 
-    def test_removed_uop_rewoken_appears_exactly_once(self):
-        # tombstone remove + re-wake must resurrect the existing slot,
-        # never queue a second copy (a duplicate would double-issue)
-        queues = ReadyQueues()
-        uop = make_uop(1)
-        queues.schedule_wake(uop, 1)
-        queues.advance_to(1)
-        queues.remove(uop)
-        assert queues.pending(OpClass.ALU) == []
-        queues.schedule_wake(uop, 2)
-        queues.schedule_wake(uop, 3)   # duplicate wake: harmless
-        queues.advance_to(3)
-        assert queues.pending(OpClass.ALU) == [uop]
-        assert queues._queues[uop.cls_idx].count(uop) == 1
-
     def test_duplicate_wake_of_live_uop_not_requeued(self):
         queues = ReadyQueues()
         uop = make_uop(1)
@@ -132,23 +129,6 @@ class TestReadyQueues:
         queues.advance_to(1)
         assert queues.pending(OpClass.ALU) == [uop]
 
-    def test_compaction_preserves_order_and_liveness(self):
-        # push enough tombstones to trip the amortised compaction and
-        # check the survivors stay age-ordered with no duplicates
-        queues = ReadyQueues()
-        uops = [make_uop(seq) for seq in range(12)]
-        for uop in uops:
-            queues.schedule_wake(uop, 1)
-        queues.advance_to(1)
-        for uop in uops[:10]:
-            queues.remove(uop)
-        lane = queues.lane(uops[0].cls_idx)    # triggers _compact
-        assert lane == uops[10:]
-        # a removed-then-rewoken uop re-enters in age order, once
-        queues.schedule_wake(uops[3], 2)
-        queues.advance_to(2)
-        assert [u.seq for u in queues.pending(OpClass.ALU)] == [3, 10, 11]
-
     def test_stale_wake_of_issued_uop_ignored(self):
         queues = ReadyQueues()
         uop = make_uop(1)
@@ -156,6 +136,59 @@ class TestReadyQueues:
         queues.schedule_wake(uop, 1)
         queues.advance_to(1)
         assert queues.pending(OpClass.ALU) == []
+
+    def test_rewoken_uop_issues_exactly_once(self):
+        # replayed while its entry sat behind the head (the GP phase
+        # issues or replays off-head), then woken twice: the stale and
+        # the fresh entry are both in the lane, and select issues once
+        queues = ReadyQueues()
+        head, uop = make_uop(0), make_uop(1)
+        queues.schedule_wake(head, 1)
+        queues.schedule_wake(uop, 1)
+        queues.advance_to(1)
+        queues.remove(uop)
+        queues.schedule_wake(uop, 2)
+        queues.schedule_wake(uop, 3)
+        queues.advance_to(3)
+        assert len(queues.lanes[uop.cls_idx]) == 3
+        assert drain(queues) == [head, uop]
+        assert queues.lanes[uop.cls_idx] == []
+
+    def test_stale_entry_never_issues(self):
+        queues = ReadyQueues()
+        a, b, c = make_uop(1), make_uop(2), make_uop(3)
+        for uop in (a, b, c):
+            queues.schedule_wake(uop, 1)
+        queues.advance_to(1)
+        queues.remove(a)
+        queues.remove(c)
+        assert drain(queues) == [b]
+
+    def test_lane_drains_in_age_order(self):
+        queues = ReadyQueues()
+        for seq, cycle in ((9, 1), (2, 2), (5, 1), (7, 3)):
+            queues.schedule_wake(make_uop(seq), cycle)
+        queues.advance_to(2)
+        first = queues.oldest(OpClass.ALU)
+        queues.remove(first)
+        heappop(queues.lanes[first.cls_idx])
+        queues.advance_to(3)
+        assert [first.seq] + [u.seq for u in drain(queues)] == [2, 5, 7, 9]
+
+    def test_oldest_skips_stale_heads(self):
+        queues = ReadyQueues()
+        assert queues.oldest(OpClass.ALU) is None
+        a, b = make_uop(1), make_uop(2)
+        queues.schedule_wake(a, 1)
+        queues.schedule_wake(b, 1)
+        queues.advance_to(1)
+        assert queues.oldest(OpClass.ALU) is a
+        queues.remove(a)
+        assert queues.oldest(OpClass.ALU) is b
+        assert queues.lanes[b.cls_idx] == [(2, b)]    # the stale head popped
+        queues.remove(b)
+        assert queues.oldest(OpClass.ALU) is None
+        assert queues.oldest(OpClass.SIMD) is None
 
 
 class TestEagerIssueAllowed:

@@ -9,6 +9,7 @@ from repro.obs.log import (
     capture_logger,
     parse_log_lines,
     stderr_logger,
+    stdlib_logs_to,
 )
 
 
@@ -117,6 +118,26 @@ class TestStdlibBridge:
         log.log(25, "between info and warning")    # custom level
         (obj,) = parse_log_lines(buffer.getvalue())
         assert obj["level"] == "info"
+
+
+class TestStdlibLogsTo:
+    def test_routes_repro_records_then_restores(self):
+        json_logger, buffer = capture_logger()
+        target = logging.getLogger("repro")
+        before = (list(target.handlers), target.propagate)
+        with stdlib_logs_to(json_logger):
+            logging.getLogger("repro.campaign.cache").warning(
+                "corrupt cache entry %s", "/tmp/x.json")
+        (obj,) = parse_log_lines(buffer.getvalue())
+        assert obj["event"] == "repro.campaign.cache"
+        assert obj["message"] == "corrupt cache entry /tmp/x.json"
+        assert (target.handlers, target.propagate) == before
+
+    def test_none_leaves_logging_alone(self):
+        target = logging.getLogger("repro")
+        before = (list(target.handlers), target.propagate)
+        with stdlib_logs_to(None):
+            assert (target.handlers, target.propagate) == before
 
 
 class TestParseLogLines:

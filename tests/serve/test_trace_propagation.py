@@ -151,12 +151,13 @@ class TestDaemonContextHandling:
     def test_valid_traceparent_is_continued(self, traced_daemon):
         daemon, port, spans_path = traced_daemon
         ctx = TraceContext("ab" * 16, "cd" * 8)
-        # a few hundred ms of simulation: the fixed parse/marshal
-        # overhead must be a rounding error next to the traced
-        # segments, as it is for any real request
+        # a few hundred ms of simulation (60,002 uops, over 300 ms on
+        # small): the fixed parse/marshal overhead must be a rounding
+        # error next to the traced segments, as it is for any real
+        # request
         response, payload = _raw_post(
             port, "/v1/simulate",
-            {"api": 1, "asm": SPIN % 3000, "core": "small",
+            {"api": 1, "asm": SPIN % 30000, "core": "small",
              "mode": "baseline"},
             headers={"traceparent": ctx.to_traceparent()})
         assert response.status == 200

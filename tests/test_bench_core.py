@@ -78,6 +78,75 @@ class TestUpdateReference:
         assert reference == payload
 
 
+class TestUpdateFromPasses:
+    """--update-reference commits per-metric medians of several passes."""
+
+    def _pass(self, cold, warm, cold_iqr=1.0, row_cold=1.0):
+        agg = {"cycles": 1000, "cold_quanta": cold, "warm_quanta": warm,
+               "cold_quanta_median": 100.0, "cold_quanta_iqr": cold_iqr,
+               "warm_quanta_median": 100.0, "warm_quanta_iqr": 1.0}
+        row = {"suite": "ml", "bench": "pool0", "core": "small",
+               "mode": "redsoc", "engine": "compiled", "cycles": 1000,
+               "cold_s": row_cold}
+        return {"schema": bench.SCHEMA, "repeats": 3,
+                "aggregates": {"compiled": agg}, "jobs": [row]}
+
+    def _main(self, monkeypatch, tmp_path, passes):
+        queue = list(passes)
+        monkeypatch.setattr(bench, "run_bench",
+                            lambda *a, **k: queue.pop(0))
+        reference = tmp_path / "ref.json"
+        reference.write_text('{"old": true}\n')
+        code = bench.main(["--smoke", "--update-reference", "--quiet",
+                           "--reference", str(reference),
+                           "--output", str(tmp_path / "out.json")])
+        assert queue == []          # every pass was measured
+        return code, json.loads(reference.read_text())
+
+    def test_commits_each_metric_median(self, monkeypatch, tmp_path):
+        # the medians come from different passes: 77.8 from the third,
+        # 178.3 from the second, 1.2 s from the first
+        passes = [self._pass(70.7, 157.3, row_cold=1.2),
+                  self._pass(81.9, 178.3, row_cold=1.1),
+                  self._pass(77.8, 180.4, row_cold=1.3)]
+        assert len(passes) == bench.UPDATE_PASSES
+        code, reference = self._main(monkeypatch, tmp_path, passes)
+        assert code == 0
+        agg = reference["aggregates"]["compiled"]
+        assert (agg["cold_quanta"], agg["warm_quanta"]) == (77.8, 178.3)
+        assert agg["cycles"] == 1000
+        (row,) = reference["jobs"]
+        assert row["cold_s"] == 1.2
+        assert row["bench"] == "pool0"
+
+    def test_one_wide_pass_refuses(self, monkeypatch, tmp_path):
+        passes = [self._pass(70.0, 150.0),
+                  self._pass(71.0, 151.0, cold_iqr=30.0),
+                  self._pass(72.0, 152.0)]
+        code, reference = self._main(monkeypatch, tmp_path, passes)
+        assert code == 2
+        assert reference == {"old": True}
+
+    def test_median_of_identical_passes_is_the_pass(self):
+        one = self._pass(70.0, 150.0)
+        assert bench.median_payload([one, one, one]) == one
+
+    def test_check_measures_one_pass(self, monkeypatch, tmp_path):
+        calls = []
+
+        def run_bench(*args, **kwargs):
+            calls.append(args)
+            return self._pass(70.0, 150.0)
+
+        monkeypatch.setattr(bench, "run_bench", run_bench)
+        reference = tmp_path / "ref.json"
+        reference.write_text(json.dumps(self._pass(70.0, 150.0)))
+        assert bench.main(["--smoke", "--check", "--quiet",
+                           "--reference", str(reference),
+                           "--output", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
+
+
 class TestPayload:
     def test_records_host(self, monkeypatch, tmp_path):
         """run_bench's payload names the host it was timed on."""
