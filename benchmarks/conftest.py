@@ -23,7 +23,7 @@ from repro.campaign.cache import (
     trace_fingerprint,
     trace_index_key,
 )
-from repro.core import CORES, RecycleMode, SimResult
+from repro.core import CORES, CoreConfig, RecycleMode, SimResult
 from repro.pipeline.trace import Trace, generate_trace
 from repro.workloads.suites import SUITES, default_scale
 
@@ -60,9 +60,15 @@ class Evaluation:
         key = (suite, bench, core, mode.value)
         if key not in self._runs:
             config = CORES[core].with_mode(mode)
-            self._runs[key] = cached_simulate(
-                self.trace(suite, bench), config, self.cache)
+            self._runs[key] = self.simulate(self.trace(suite, bench),
+                                            config)
         return self._runs[key]
+
+    def simulate(self, trace: Trace, config: CoreConfig) -> SimResult:
+        """One run through the persistent cache, for benches whose
+        configs or programs lie outside the preset grid (ablations,
+        microbenchmarks): a warm session simulates nothing."""
+        return cached_simulate(trace, config, self.cache)
 
     def speedup(self, suite: str, bench: str, core: str,
                 mode: RecycleMode = RecycleMode.REDSOC) -> float:

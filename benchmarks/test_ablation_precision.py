@@ -6,7 +6,7 @@ representative benchmarks (MEDIUM core).
 """
 
 from repro.analysis.report import print_table
-from repro.core import CORES, RecycleMode, simulate
+from repro.core import CORES, RecycleMode
 
 REPRESENTATIVE = {"spec": "bzip2", "mibench": "crc", "ml": "conv"}
 PRECISIONS = (1, 2, 3, 4)  # bits -> 2,4,8,16 ticks/cycle
@@ -23,7 +23,7 @@ def generate_sweep(evaluation):
             ticks = 1 << bits
             cfg = CORES["medium"].variant(
                 ticks_per_cycle=ticks, slack_threshold=ticks - 1)
-            red = simulate(trace, cfg)
+            red = evaluation.simulate(trace, cfg)
             cells.append(round(100 * (base.cycles / red.cycles - 1), 1))
         rows.append((f"{suite}:{bench}",) + tuple(cells))
     return rows

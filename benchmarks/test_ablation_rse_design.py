@@ -6,7 +6,7 @@ to near-perfect last-arrival prediction; the ablation measures the gap.
 """
 
 from repro.analysis.report import print_table
-from repro.core import CORES, RecycleMode, SchedulerDesign, simulate
+from repro.core import CORES, RecycleMode, SchedulerDesign
 
 REPRESENTATIVE = {"spec": "bzip2", "mibench": "crc", "ml": "conv"}
 
@@ -20,7 +20,7 @@ def generate_comparison(evaluation):
         results = {}
         for design in SchedulerDesign:
             cfg = CORES["medium"].variant(scheduler=design)
-            results[design] = simulate(trace, cfg)
+            results[design] = evaluation.simulate(trace, cfg)
         op = results[SchedulerDesign.OPERATIONAL]
         il = results[SchedulerDesign.ILLUSTRATIVE]
         rows.append((
@@ -47,6 +47,6 @@ def test_ablation_rse_design(evaluation, bench_once):
     # and the illustrative design never replays on wrong tags
     # (it watches every source) - checked via a direct run
     trace = evaluation.trace("mibench", "crc")
-    il = simulate(trace, CORES["medium"].variant(
+    il = evaluation.simulate(trace, CORES["medium"].variant(
         scheduler=SchedulerDesign.ILLUSTRATIVE))
     assert il.stats.la_replays == 0

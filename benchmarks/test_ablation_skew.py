@@ -7,7 +7,7 @@ skew and measures both effects.
 """
 
 from repro.analysis.report import print_table
-from repro.core import CORES, RecycleMode, simulate
+from repro.core import CORES, RecycleMode
 
 REPRESENTATIVE = {"spec": "bzip2", "mibench": "crc", "ml": "conv"}
 
@@ -20,7 +20,7 @@ def generate_comparison(evaluation):
                               RecycleMode.BASELINE)
         skewed = evaluation.run(suite, bench, "medium",
                                 RecycleMode.REDSOC)
-        unskewed = simulate(trace, CORES["medium"].variant(
+        unskewed = evaluation.simulate(trace, CORES["medium"].variant(
             skewed_select=False))
         rows.append((
             f"{suite}:{bench}",

@@ -8,7 +8,7 @@ core, adaptation off) and also shows the dynamic controller's result.
 
 
 from repro.analysis.report import print_table
-from repro.core import CORES, RecycleMode, simulate
+from repro.core import CORES, RecycleMode
 
 REPRESENTATIVE = {"spec": "bzip2", "mibench": "crc", "ml": "conv"}
 THRESHOLDS = (0, 2, 4, 6, 7)
@@ -25,7 +25,7 @@ def generate_sweep(evaluation):
         for threshold in THRESHOLDS:
             cfg = core.variant(slack_threshold=threshold,
                                adaptive_threshold=False)
-            red = simulate(trace, cfg)
+            red = evaluation.simulate(trace, cfg)
             cells.append(round(100 * (base.cycles / red.cycles - 1), 1))
         adaptive = evaluation.run(suite, bench, "medium",
                                   RecycleMode.REDSOC)

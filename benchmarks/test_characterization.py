@@ -8,16 +8,19 @@ either moves a measured factor off its prediction.
 """
 
 from repro.analysis.report import print_table
-from repro.core import BIG, RecycleMode, simulate
+from repro.core import BIG, RecycleMode
+from repro.pipeline.trace import generate_trace
 from repro.workloads.microbench import MICROBENCHES
 
 
-def generate_characterization():
+def generate_characterization(evaluation):
     rows = []
     for name, micro in MICROBENCHES.items():
-        program = micro.build(500)
-        base = simulate(program, BIG.with_mode(RecycleMode.BASELINE))
-        red = simulate(program, BIG.with_mode(RecycleMode.REDSOC))
+        trace = generate_trace(micro.build(500))
+        base = evaluation.simulate(
+            trace, BIG.with_mode(RecycleMode.BASELINE))
+        red = evaluation.simulate(
+            trace, BIG.with_mode(RecycleMode.REDSOC))
         measured = base.cycles / red.cycles - 1
         predicted = micro.predicted_speedup()
         rows.append((name, micro.chain_ticks,
@@ -26,8 +29,8 @@ def generate_characterization():
     return rows
 
 
-def test_slack_class_characterization(bench_once):
-    rows = bench_once(generate_characterization)
+def test_slack_class_characterization(evaluation, bench_once):
+    rows = bench_once(generate_characterization, evaluation)
     print_table("Per-slack-class chain speedup (BIG): predicted vs "
                 "measured", ["class", "EX-TIME", "predicted", "measured"],
                 rows)

@@ -9,8 +9,9 @@ shows the corner sensitivity of end-to-end recycling.
 """
 
 from repro.analysis.report import print_table
-from repro.core import BIG, RecycleMode, simulate
+from repro.core import BIG, RecycleMode
 from repro.core.pvt import SCENARIOS, recalibration_report
+from repro.pipeline.trace import generate_trace
 from repro.workloads import bitcount
 
 
@@ -41,14 +42,16 @@ def test_pvt_recalibration(bench_once):
         assert float(retained.rstrip("%")) > 60.0, name
 
 
-def test_corner_sensitivity(bench_once):
+def test_corner_sensitivity(evaluation, bench_once):
     def run():
-        program = bitcount(60)
+        trace = generate_trace(bitcount(60))
         rows = []
-        base = simulate(program, BIG.with_mode(RecycleMode.BASELINE))
+        base = evaluation.simulate(
+            trace, BIG.with_mode(RecycleMode.BASELINE))
         for label, scale in (("fast (0.8x)", 0.8), ("nominal", 1.0),
                              ("slow (1.2x)", 1.2)):
-            red = simulate(program, BIG.variant(pvt_scale=scale))
+            red = evaluation.simulate(trace,
+                                      BIG.variant(pvt_scale=scale))
             rows.append((label,
                          f"{100 * (base.cycles / red.cycles - 1):.1f}%"))
         return rows

@@ -164,18 +164,25 @@ class CampaignResult:
 
 
 def simulate_cached(cache: ResultCache, tkey: str,
-                    make_trace: Callable[[], Trace], config: CoreConfig,
-                    *, force: bool = False,
+                    make_trace: Optional[Callable[[], Trace]],
+                    config: CoreConfig, *, force: bool = False,
                     profile_to: Optional[Path] = None
-                    ) -> Tuple[str, SimResult, bool, Dict[str, float]]:
+                    ) -> Optional[Tuple[str, SimResult, bool,
+                                        Dict[str, float]]]:
     """One job's cache-through, shared by campaign jobs and serve's
     inline programs; returns ``(key, result, cache_hit, spans)``.
 
     Fast path: the trace-fingerprint index entry *tkey* resolves the
-    result key without making the trace, so a fully-warm job is three
+    result key without making the trace, so a fully-warm job is two
     small file reads.  Slow path: ``make_trace()``, record its
     fingerprint in the index, probe again, and simulate only on a true
     miss.  *force* skips both probes (the result is still rewritten).
+
+    With *make_trace* ``None`` it is probe-only: the fast path or
+    ``None``, never a trace or a simulation (as
+    :func:`repro.predict.service.cached_features` with
+    ``allow_generate=False``).  The serve daemon answers warm requests
+    on its event loop this way.
 
     Each stage is timed into *spans*: ``cache_probe`` (both probes),
     ``trace_gen`` (trace, fingerprint, index write), ``simulate`` (the
@@ -199,6 +206,8 @@ def simulate_cached(cache: ResultCache, tkey: str,
             if payload is not None:
                 spans["cache_probe"] = time.perf_counter() - start
                 return key, payload_to_result(payload, config), True, spans
+    if make_trace is None:
+        return None
     spans["cache_probe"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -230,17 +239,23 @@ def simulate_cached(cache: ResultCache, tkey: str,
     return key, result, False, spans
 
 
-def _execute_job(job: CampaignJob, cache_dir: str, force: bool,
-                 profile_dir: Optional[str] = None) -> JobRecord:
-    """Run one job against the shared cache (worker entry point)."""
+def _execute_job(job: CampaignJob, cache: ResultCache, force: bool,
+                 profile_dir: Optional[str] = None, *,
+                 probe_only: bool = False) -> Optional[JobRecord]:
+    """Run one job against the shared cache (worker entry point).
+
+    With *probe_only* a cache miss returns ``None`` instead of making
+    the trace and simulating (see :func:`simulate_cached`)."""
     start = time.perf_counter()
     profile_to = (Path(profile_dir) / f"{job_slug(job.label)}.pstats"
                   if profile_dir is not None else None)
-    key, result, cache_hit, spans = simulate_cached(
-        ResultCache(Path(cache_dir)),
-        trace_index_key(job.suite, job.bench, job.scale),
-        lambda: job_trace(job), job_config(job), force=force,
-        profile_to=profile_to)
+    outcome = simulate_cached(
+        cache, trace_index_key(job.suite, job.bench, job.scale),
+        None if probe_only else (lambda: job_trace(job)),
+        job_config(job), force=force, profile_to=profile_to)
+    if outcome is None:
+        return None
+    key, result, cache_hit, spans = outcome
     sim_seconds = spans.get("simulate", 0.0)
     return JobRecord(
         suite=job.suite, bench=job.bench, core=job.core, mode=job.mode,
@@ -259,8 +274,8 @@ def _execute_jobs(jobs: Sequence[CampaignJob], cache_dir: str,
                   force: bool,
                   profile_dir: Optional[str] = None) -> List[JobRecord]:
     """Run a chunk of jobs one after another (worker entry point)."""
-    return [_execute_job(job, cache_dir, force, profile_dir)
-            for job in jobs]
+    cache = ResultCache(Path(cache_dir))
+    return [_execute_job(job, cache, force, profile_dir) for job in jobs]
 
 
 def _trace_chunks(jobs: Sequence[CampaignJob],
@@ -311,8 +326,7 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
     :class:`repro.obs.log.JsonLogger`) emits one structured line per
     finished job.
     """
-    cache_root = Path(cache_dir) if cache_dir is not None \
-        else ResultCache().root
+    cache = ResultCache(cache_dir)
     profile_arg = str(profile_dir) if profile_dir is not None else None
     start = time.perf_counter()
     records: List[JobRecord] = []
@@ -331,11 +345,11 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
     if workers <= 1 or len(jobs) <= 1:
         workers = 1
         for job in jobs:
-            finish(_execute_job(job, str(cache_root), force, profile_arg))
+            finish(_execute_job(job, cache, force, profile_arg))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_jobs, chunk,
-                                   str(cache_root), force, profile_arg)
+                                   str(cache.root), force, profile_arg)
                        for chunk in _trace_chunks(jobs, workers)]
             # collect in submission order so reports stay stable
             for future in futures:

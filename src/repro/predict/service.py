@@ -14,11 +14,14 @@ microseconds.  Keying on the whole config means no hand-kept field
 list can go stale; a config that differs in any field but its mode
 and engine extracts its own features.
 
-``estimate_payload`` is the worker-side entry point (mirrors the shape
-of :func:`repro.serve.workers._execute_inline`); with
-``allow_generate=False`` it is safe to call inline on the daemon's
-event loop — it returns ``None`` instead of generating a trace on a
-cold cache, and the request falls through to the worker pool.
+``estimate_payload`` is the worker-side entry point and mirrors
+:func:`repro.serve.workers._execute_inline`: it takes the
+:class:`~repro.campaign.cache.ResultCache` to read through, and with
+``allow_generate=False`` it is the probe-only form that
+:func:`repro.serve.workers.cached_answer` calls on the daemon's event
+loop — it returns ``None`` instead of generating a trace on a cold
+cache, and the request falls through to the worker pool, as a
+``simulate`` that misses does.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.campaign.cache import (
@@ -133,7 +135,7 @@ def _materialise_trace(workload: Dict[str, Any]):
     return generate_trace(program_from_dict(workload["program"]))
 
 
-def estimate_payload(payload: Dict[str, Any], cache_dir: str, *,
+def estimate_payload(payload: Dict[str, Any], cache: ResultCache, *,
                      allow_generate: bool = True,
                      calibration: Optional[Calibration] = None
                      ) -> Optional[Dict[str, Any]]:
@@ -150,7 +152,6 @@ def estimate_payload(payload: Dict[str, Any], cache_dir: str, *,
     mode = payload["mode"]
     confidence = float(payload.get("confidence", 0.9))
     config = CORES[core].with_mode(RecycleMode(mode))
-    cache = ResultCache(Path(cache_dir))
 
     if "suite" in payload:
         suite, bench = payload["suite"], payload["bench"]

@@ -2,9 +2,19 @@
 
 Request lifecycle::
 
-    HTTP → parse/validate (400) → response LRU (hit? answer) →
+    HTTP → parse/validate (400) → response LRU (hit? "lru") →
+    result-cache probe on the event loop (every job hit? "inline") →
     admission queue (429/503, single-flight) → dispatcher →
-    worker pool (crash-supervised) → response + metrics
+    worker pool (crash-supervised; "worker", or "coalesced" for a
+    single-flight follower) → response + metrics
+
+The probe covers ``simulate``, ``sweep`` and ``estimate`` (never
+``verify``) and runs the workers' own code in its probe-only form
+(:func:`~repro.serve.workers.cached_answer`), so an inline answer
+carries the worker's fields.  A sweep is answered inline only when
+every job hits; one miss sends the whole sweep to the pool.  Because
+the probe runs before admission, a warm request is still answered
+while a drain is under way; only work that needs a worker gets 503.
 
 Every stage is bounded: body size, queue depth, per-request deadline,
 worker retry budget, drain grace.  ``/metrics`` exposes the whole
@@ -24,7 +34,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.campaign.cache import default_cache_dir, model_version
+from repro.campaign.cache import (
+    ResultCache,
+    default_cache_dir,
+    model_version,
+)
 from repro.obs import MetricsRegistry
 from repro.obs.log import JsonLogger, stderr_logger
 from repro.obs.metrics import LATENCY_BUCKETS_US, format_le
@@ -39,11 +53,15 @@ from .admission import AdmissionQueue, Draining, QueueFull, Ticket
 from .httpd import HttpProtocolError, HttpRequest, HttpResponse, HttpServer
 from .protocol import (
     API_VERSION,
+    BaseSpec,
     RequestError,
     SweepSpec,
     parse_request,
 )
-from .workers import WorkerCrash, WorkerPool
+from .workers import WorkerCrash, WorkerPool, cached_answer
+
+#: request kinds whose answers the result cache and the LRU hold
+_CACHEABLE = ("simulate", "sweep", "estimate")
 
 
 @dataclass
@@ -103,6 +121,10 @@ class ServeApp:
                                str(config.resolved_cache_dir()),
                                metrics=self.metrics,
                                tracer=self.tracer)
+        #: the event loop's own reader of the result cache: corrupt
+        #: entries it meets count into this registry
+        self.cache = ResultCache(config.resolved_cache_dir(),
+                                 metrics=self.metrics)
         self.server = HttpServer(self.handle, host=config.host,
                                  port=config.port,
                                  max_body=config.max_body)
@@ -230,6 +252,12 @@ class ServeApp:
                 self.pool.run(kind, p, deadline_s=deadline_s,
                               trace_parent=trace_parent)
                 for p in payloads]))
+        return self._join(spec, results)
+
+    def _join(self, spec: BaseSpec,
+              results: List[Dict[str, Any]]) -> Dict[str, Any]:
+        """Count each job's cache outcome and shape the request's
+        result (a sweep's jobs joined with their speedups)."""
         for result in results:
             if "cache_hit" in result:
                 name = ("serve.cache_hits" if result["cache_hit"]
@@ -240,6 +268,18 @@ class ServeApp:
             return {"jobs": results, "cores": list(spec.cores),
                     "modes": list(spec.modes)}
         return results[0]
+
+    def _cached_result(self, spec: BaseSpec) -> Optional[Dict[str, Any]]:
+        """The request's result from the result cache alone, or
+        ``None`` at the first job that misses."""
+        kind = "simulate" if isinstance(spec, SweepSpec) else spec.kind
+        results = []
+        for payload in spec.worker_payloads():
+            result = cached_answer(kind, payload, self.cache)
+            if result is None:
+                return None
+            results.append(result)
+        return self._join(spec, results)
 
     # -- request flow --------------------------------------------------
 
@@ -365,49 +405,39 @@ class ServeApp:
 
         cached = self._lru.get(fingerprint)
         if cached is not None:
-            self._lru.move_to_end(fingerprint)
             self.metrics.counter("serve.lru_hits").inc()
-            if root is not None:
-                root.set(served="lru")
-            payload = dict(cached)
-            payload["served"] = "lru"
-            return HttpResponse.json(payload)
+            return self._answer(fingerprint, cached, "lru", root)
 
-        if spec.kind == "estimate":
-            # warm-cache estimates answer inline on the event loop —
-            # two small file reads plus a dot product, no simulation,
-            # no queueing.  A cold feature cache returns None and the
-            # request takes the normal worker-pool path (which may
-            # generate the trace).
-            from repro.predict.service import estimate_payload
-            result = estimate_payload(
-                spec.worker_payloads()[0],
-                str(self.config.resolved_cache_dir()),
-                allow_generate=False)
+        if spec.kind in _CACHEABLE:
+            # a warm request answers on the event loop: two small file
+            # reads per job (plus a dot product for an estimate), no
+            # queue, no worker.  Any miss takes the worker-pool path,
+            # whose admission span then also covers this probe.
+            probe_us = self.tracer.now_us() if root is not None else 0
+            result = self._cached_result(spec)
             if result is not None:
-                self.metrics.counter("serve.estimate_inline").inc()
-                self.metrics.counter("serve.cache_hits").inc()
+                self.metrics.counter(f"serve.{spec.kind}_inline").inc()
+                response = self._answer(
+                    fingerprint, {"api": API_VERSION, "kind": spec.kind,
+                                  "result": result}, "inline", root)
                 if root is not None:
-                    root.set(served="inline")
-                payload = {"api": API_VERSION, "kind": "estimate",
-                           "result": result}
-                self._lru_put(fingerprint, payload)
-                response = dict(payload)
-                response["served"] = "inline"
-                return HttpResponse.json(response)
+                    # the probe span runs to the encoded answer
+                    self._segment("admission", root,
+                                  root.span.start_us, probe_us)
+                    self._segment("cache.probe", root, probe_us,
+                                  cache_hit=True)
+                return response
 
         ticket = self.queue.submit(
             spec, trace_ctx=root.ctx if root is not None else None)
-        if root is not None and self.tracer is not None:
-            # retroactive: parse/validate/LRU probe/enqueue, bracketed
-            # from the request span's own start so the segments explain
-            # the front of the request's wall time
-            self.tracer.start(
-                "admission", parent=root.ctx, component="serve",
-                start_us=root.span.start_us).end()
+        if root is not None:
+            # retroactive: parse/validate/LRU and cache probes/enqueue,
+            # bracketed from the request span's own start so the
+            # segments explain the front of the request's wall time
+            self._segment("admission", root, root.span.start_us)
         shared = ticket.spec is not spec     # single-flight follower
         wait_span = None
-        if root is not None and shared and self.tracer is not None:
+        if root is not None and shared:
             # follower: its whole wait is one coalesced segment
             # pointing at the leader's trace
             leader = ticket.trace_ctx
@@ -433,30 +463,41 @@ class ServeApp:
             raise
         if wait_span is not None:
             wait_span.end()
-        elif root is not None and self.tracer is not None \
-                and ticket.completed_wall_us:
+        elif root is not None and ticket.completed_wall_us:
             # retroactive: result ready in the dispatcher → this
             # handler resumed (event-loop handoff); the serialization
             # that follows is microseconds
-            self.tracer.start(
-                "respond", parent=root.ctx, component="serve",
-                start_us=ticket.completed_wall_us).end()
+            self._segment("respond", root, ticket.completed_wall_us)
+        return self._answer(
+            fingerprint, {"api": API_VERSION, "kind": spec.kind,
+                          "result": result},
+            "coalesced" if shared else "worker", root)
+
+    def _answer(self, fingerprint: str, payload: Dict[str, Any],
+                served: str, root: Optional[ActiveSpan]) -> HttpResponse:
+        """Every answer's tail: keep a cacheable payload in the
+        response LRU (most recent last) and say how it was served."""
         if root is not None:
-            root.set(served="coalesced" if shared else "worker")
-        payload = {"api": API_VERSION, "kind": spec.kind,
-                   "result": result}
-        if spec.kind in ("simulate", "sweep", "estimate"):
-            self._lru_put(fingerprint, payload)
+            root.set(served=served)
+        if payload["kind"] in _CACHEABLE:
+            self._lru[fingerprint] = payload
+            self._lru.move_to_end(fingerprint)
+            while len(self._lru) > self.config.lru_size:
+                self._lru.popitem(last=False)
         response = dict(payload)
-        response["served"] = "coalesced" if shared else "worker"
+        response["served"] = served
         return HttpResponse.json(response)
 
-    def _lru_put(self, fingerprint: str,
-                 payload: Dict[str, Any]) -> None:
-        self._lru[fingerprint] = payload
-        self._lru.move_to_end(fingerprint)
-        while len(self._lru) > self.config.lru_size:
-            self._lru.popitem(last=False)
+    def _segment(self, name: str, root: ActiveSpan, start_us: int,
+                 end_us: Optional[int] = None, **attrs: Any) -> None:
+        """Record a retroactive child span of the request (ending now
+        unless *end_us* is given)."""
+        span = self.tracer.start(name, parent=root.ctx,
+                                 component="serve", start_us=start_us,
+                                 **attrs)
+        if end_us is not None:
+            span.span.end_us = end_us
+        span.end()
 
     async def _chaos(self, request: HttpRequest) -> HttpResponse:
         """Debug-only fault injection (used by tests/serve/chaos)."""

@@ -21,6 +21,15 @@ workloads run through :func:`repro.campaign.runner._execute_job` and
 inline programs through the same
 :func:`~repro.campaign.runner.simulate_cached` cache-through, so the
 daemon and overnight campaigns share one warm cache directory.
+
+:func:`cached_answer` is the same code in its probe-only form: the
+daemon calls it on its event loop and answers a request whose every
+job is already cached without the queue or a worker (``served:
+"inline"``).  It reads through the daemon's
+:class:`~repro.campaign.cache.ResultCache`, which counts corrupt
+entries into the daemon's registry; each pool worker builds its own
+cache per work unit, so its corruption counts stay process-local and
+never reach ``/metrics``.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.campaign.cache import ResultCache
 from repro.obs import MetricsRegistry
 from repro.obs.trace import IdSource, TraceContext, Tracer
 
@@ -112,9 +122,9 @@ def execute_payload(kind: str, payload: Dict[str, Any],
     """Execute one unit of work; returns a JSON-safe result dict."""
     trace_ctx = payload.pop("_trace", None)
     if kind == "simulate":
-        result = _execute_simulate(payload, cache_dir)
+        result = _execute_simulate(payload, ResultCache(Path(cache_dir)))
     elif kind == "estimate":
-        result = _execute_estimate(payload, cache_dir)
+        result = _execute_estimate(payload, ResultCache(Path(cache_dir)))
     elif kind == "verify":
         result = _execute_verify(payload)
     elif kind == "sleep":   # chaos/debug hook (gated by the app)
@@ -129,28 +139,49 @@ def execute_payload(kind: str, payload: Dict[str, Any],
     return result
 
 
-def _execute_simulate(payload: Dict[str, Any],
-                      cache_dir: str) -> Dict[str, Any]:
+def cached_answer(kind: str, payload: Dict[str, Any],
+                  cache: ResultCache) -> Optional[Dict[str, Any]]:
+    """One ``simulate`` or ``estimate`` payload answered from *cache*
+    alone, or ``None`` on a miss: never a trace, never a simulation.
+
+    The worker's own code in its probe-only form, so a hit carries the
+    same fields as the worker's answer; only ``worker`` (this
+    process), ``wall_time_s`` and ``spans`` differ.  ``estimate_payload``
+    is looked up at call time, so a wrapper installed on
+    :mod:`repro.predict.service` sees these calls too.
+    """
+    if kind == "estimate":
+        from repro.predict.service import estimate_payload
+        return estimate_payload(payload, cache, allow_generate=False)
+    return _execute_simulate(payload, cache, probe_only=True)
+
+
+def _execute_simulate(payload: Dict[str, Any], cache: ResultCache, *,
+                      probe_only: bool = False
+                      ) -> Optional[Dict[str, Any]]:
     from repro.campaign.jobs import CampaignJob
     from repro.campaign.runner import _execute_job
 
-    if "suite" in payload:
-        job = CampaignJob(suite=payload["suite"], bench=payload["bench"],
-                          core=payload["core"], mode=payload["mode"],
-                          scale=payload.get("scale"),
-                          engine=payload.get("engine"))
-        record = _execute_job(job, cache_dir, force=False)
-        result = asdict(record)
-        result["workload"] = f"{payload['suite']}/{payload['bench']}"
-        return result
-    return _execute_inline(payload, cache_dir)
+    if "suite" not in payload:
+        return _execute_inline(payload, cache, probe_only=probe_only)
+    job = CampaignJob(suite=payload["suite"], bench=payload["bench"],
+                      core=payload["core"], mode=payload["mode"],
+                      scale=payload.get("scale"),
+                      engine=payload.get("engine"))
+    record = _execute_job(job, cache, force=False, probe_only=probe_only)
+    if record is None:
+        return None
+    result = asdict(record)
+    result["workload"] = f"{payload['suite']}/{payload['bench']}"
+    return result
 
 
-def _execute_inline(payload: Dict[str, Any],
-                    cache_dir: str) -> Dict[str, Any]:
+def _execute_inline(payload: Dict[str, Any], cache: ResultCache, *,
+                    probe_only: bool = False
+                    ) -> Optional[Dict[str, Any]]:
     from dataclasses import replace
 
-    from repro.campaign.cache import ResultCache, inline_trace_index_key
+    from repro.campaign.cache import inline_trace_index_key
     from repro.campaign.runner import simulate_cached
     from repro.core import CORES, RecycleMode
     from repro.isa.serialize import program_from_dict
@@ -163,12 +194,15 @@ def _execute_inline(payload: Dict[str, Any],
         config = replace(config, engine=payload["engine"])
     # the program→trace mapping is deterministic, so inline programs
     # get the same trace-fingerprint-index fast path as named jobs: a
-    # fully-warm request is three small file reads, no trace generation
-    key, result, cache_hit, spans = simulate_cached(
-        ResultCache(Path(cache_dir)),
-        inline_trace_index_key(payload["program"]),
-        lambda: generate_trace(program_from_dict(payload["program"])),
+    # fully-warm request is two small file reads, no trace generation
+    outcome = simulate_cached(
+        cache, inline_trace_index_key(payload["program"]),
+        None if probe_only else
+        (lambda: generate_trace(program_from_dict(payload["program"]))),
         config)
+    if outcome is None:
+        return None
+    key, result, cache_hit, spans = outcome
     name = payload["program"].get("name", "inline")
     return {
         "workload": name,
@@ -187,10 +221,10 @@ def _execute_inline(payload: Dict[str, Any],
 
 
 def _execute_estimate(payload: Dict[str, Any],
-                      cache_dir: str) -> Dict[str, Any]:
+                      cache: ResultCache) -> Dict[str, Any]:
     from repro.predict.service import estimate_payload
 
-    result = estimate_payload(payload, cache_dir, allow_generate=True)
+    result = estimate_payload(payload, cache, allow_generate=True)
     assert result is not None    # allow_generate=True never returns None
     return result
 
