@@ -268,23 +268,26 @@ class ResultCache:
         self.corrupt = 0
         self.metrics = metrics
 
-    def path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def path(self, key: str) -> str:
+        # a plain string: pathlib ``sys.intern``s every component it
+        # parses, so a long-lived daemon probing many distinct entry
+        # names would churn the interpreter's interned-string table
+        return os.path.join(self.root, f"{key}.json")
 
-    def _note_corrupt(self, path: Path, reason: str) -> None:
+    def _note_corrupt(self, path: str, reason: str) -> None:
         self.corrupt += 1
         if self.metrics is not None:
             self.metrics.counter("cache.corrupt_entries").inc()
         LOG.warning("corrupt cache entry %s (%s); treating as a miss",
                     path, reason,
-                    extra={"entry": str(path), "reason": reason,
+                    extra={"entry": path, "reason": reason,
                            "corrupt_total": self.corrupt})
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass    # another reader may have unlinked it already
 
-    def _load(self, path: Path) -> Optional[Dict[str, Any]]:
+    def _load(self, path: str) -> Optional[Dict[str, Any]]:
         """Read one JSON-object file; corrupt entries become ``None``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -315,12 +318,13 @@ class ResultCache:
         return payload
 
     @staticmethod
-    def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
+    def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
         """Write-to-tempfile + an ``fsync`` + ``os.replace``: concurrent
         readers either see the old file or the complete new one, never
         a torn write — even across a crash."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True)
@@ -345,8 +349,8 @@ class ResultCache:
     # Caching that mapping lets a fully-warm campaign answer every job
     # from disk without regenerating (or re-hashing) a single trace.
 
-    def trace_index_path(self, tkey: str) -> Path:
-        return self.root / "traces" / f"{tkey}.json"
+    def trace_index_path(self, tkey: str) -> str:
+        return os.path.join(self.root, "traces", f"{tkey}.json")
 
     def get_trace_fingerprint(self, tkey: str) -> Optional[str]:
         path = self.trace_index_path(tkey)

@@ -56,7 +56,7 @@ from .jobs import (
     smoke_jobs,
 )
 from .report import load_campaign_json, render_summary, write_campaign_json
-from .runner import job_slug, run_campaign
+from .runner import run_campaign
 
 DEFAULT_OUTPUT = "BENCH_campaign.json"
 
@@ -85,6 +85,11 @@ def parse_jobspec(spec: str,
         raise ValueError(f"job spec {spec!r} matches no benchmark in "
                          f"suite {match['suite']!r}")
     return jobs[0]
+
+
+def job_slug(label: str) -> str:
+    """Filesystem-safe name for a job label (``trace`` artefacts)."""
+    return label.replace("/", "_").replace("@", "_").replace(":", "_")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,10 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--log-json", action="store_true",
                      help="structured JSON log lines on stderr (one "
                           "per finished job)")
-    run.add_argument("--profile-dir", type=Path, default=None,
-                     metavar="DIR",
-                     help="cProfile every simulated (non-cached) job "
-                          "and dump one .pstats file per job here")
 
     trace = sub.add_parser(
         "trace",
@@ -234,16 +235,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with stdlib_logs_to(logger):
         result = run_campaign(jobs, workers=max(1, args.jobs),
                               cache_dir=args.cache_dir, force=args.force,
-                              progress=progress,
-                              profile_dir=args.profile_dir,
-                              logger=logger)
+                              progress=progress, logger=logger)
     path = write_campaign_json(result, args.output)
     if not args.quiet:
         print()
         print(render_summary(result.to_payload()))
         print(f"\nwrote {path}")
-        if args.profile_dir is not None:
-            print(f"profiles in {args.profile_dir}/")
     return 0
 
 

@@ -15,14 +15,11 @@ Every job also carries telemetry: which worker process ran it, and a
 span breakdown (``cache_probe`` / ``trace_gen`` / ``simulate`` /
 ``cache_put``) of where its wall time went — written into
 ``BENCH_campaign.json`` so a slow campaign can be diagnosed from the
-artefact alone.  Passing
-``profile_dir`` additionally wraps each simulated job in
-:mod:`cProfile` and drops one ``.pstats`` file per job.
+artefact alone.
 """
 
 from __future__ import annotations
 
-import cProfile
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -86,11 +83,6 @@ class JobRecord:
     @property
     def label(self) -> str:
         return f"{self.suite}/{self.bench}@{self.core}:{self.mode}"
-
-
-def job_slug(label: str) -> str:
-    """Filesystem-safe name for a job label (profiles, traces)."""
-    return label.replace("/", "_").replace("@", "_").replace(":", "_")
 
 
 @dataclass
@@ -165,8 +157,7 @@ class CampaignResult:
 
 def simulate_cached(cache: ResultCache, tkey: str,
                     make_trace: Optional[Callable[[], Trace]],
-                    config: CoreConfig, *, force: bool = False,
-                    profile_to: Optional[Path] = None
+                    config: CoreConfig, *, force: bool = False
                     ) -> Optional[Tuple[str, SimResult, bool,
                                         Dict[str, float]]]:
     """One job's cache-through, shared by campaign jobs and serve's
@@ -186,9 +177,7 @@ def simulate_cached(cache: ResultCache, tkey: str,
 
     Each stage is timed into *spans*: ``cache_probe`` (both probes),
     ``trace_gen`` (trace, fingerprint, index write), ``simulate`` (the
-    run alone) and ``cache_put`` (the result write).  With
-    *profile_to* set, the run is wrapped in :mod:`cProfile` and its
-    stats dumped to that path.
+    run alone) and ``cache_put`` (the result write).
 
     It reaches ``trace_fingerprint``, ``simulate`` and the cache
     methods through this module's globals, which ``perfbench/layers.py``
@@ -224,13 +213,7 @@ def simulate_cached(cache: ResultCache, tkey: str,
         return key, payload_to_result(payload, config), True, spans
 
     start = time.perf_counter()
-    if profile_to is None:
-        result = simulate(trace, config)
-    else:
-        with cProfile.Profile() as profiler:
-            result = simulate(trace, config)
-        profile_to.parent.mkdir(parents=True, exist_ok=True)
-        profiler.dump_stats(profile_to)
+    result = simulate(trace, config)
     spans["simulate"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -239,20 +222,17 @@ def simulate_cached(cache: ResultCache, tkey: str,
     return key, result, False, spans
 
 
-def _execute_job(job: CampaignJob, cache: ResultCache, force: bool,
-                 profile_dir: Optional[str] = None, *,
+def _execute_job(job: CampaignJob, cache: ResultCache, force: bool, *,
                  probe_only: bool = False) -> Optional[JobRecord]:
     """Run one job against the shared cache (worker entry point).
 
     With *probe_only* a cache miss returns ``None`` instead of making
     the trace and simulating (see :func:`simulate_cached`)."""
     start = time.perf_counter()
-    profile_to = (Path(profile_dir) / f"{job_slug(job.label)}.pstats"
-                  if profile_dir is not None else None)
     outcome = simulate_cached(
         cache, trace_index_key(job.suite, job.bench, job.scale),
         None if probe_only else (lambda: job_trace(job)),
-        job_config(job), force=force, profile_to=profile_to)
+        job_config(job), force=force)
     if outcome is None:
         return None
     key, result, cache_hit, spans = outcome
@@ -271,11 +251,10 @@ def _execute_job(job: CampaignJob, cache: ResultCache, force: bool,
 
 
 def _execute_jobs(jobs: Sequence[CampaignJob], cache_dir: str,
-                  force: bool,
-                  profile_dir: Optional[str] = None) -> List[JobRecord]:
+                  force: bool) -> List[JobRecord]:
     """Run a chunk of jobs one after another (worker entry point)."""
     cache = ResultCache(Path(cache_dir))
-    return [_execute_job(job, cache, force, profile_dir) for job in jobs]
+    return [_execute_job(job, cache, force) for job in jobs]
 
 
 def _trace_chunks(jobs: Sequence[CampaignJob],
@@ -314,20 +293,17 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
                  cache_dir: Optional[Path] = None,
                  force: bool = False,
                  progress=None,
-                 profile_dir: Optional[Path] = None,
                  logger=None) -> CampaignResult:
     """Execute *jobs*, sharded over *workers* processes.
 
     ``workers <= 1`` runs everything in-process (useful under pytest
     and for debugging); results are identical either way because the
     timing model is deterministic.  *progress* is an optional callable
-    receiving each finished :class:`JobRecord`.  *profile_dir* turns
-    on the per-job cProfile hook for cache misses.  *logger* (a
+    receiving each finished :class:`JobRecord`.  *logger* (a
     :class:`repro.obs.log.JsonLogger`) emits one structured line per
     finished job.
     """
     cache = ResultCache(cache_dir)
-    profile_arg = str(profile_dir) if profile_dir is not None else None
     start = time.perf_counter()
     records: List[JobRecord] = []
 
@@ -345,11 +321,11 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
     if workers <= 1 or len(jobs) <= 1:
         workers = 1
         for job in jobs:
-            finish(_execute_job(job, cache, force, profile_arg))
+            finish(_execute_job(job, cache, force))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_jobs, chunk,
-                                   str(cache.root), force, profile_arg)
+                                   str(cache.root), force)
                        for chunk in _trace_chunks(jobs, workers)]
             # collect in submission order so reports stay stable
             for future in futures:

@@ -25,7 +25,7 @@ invariant checks over a recorded event stream) lives in
 :mod:`repro.core.audit` next to the live auditor.
 
 The *service* layers (repro.serve, repro.campaign) observe through
-three sibling modules built on the same explicit-object discipline:
+two sibling modules built on the same explicit-object discipline:
 
 * :mod:`repro.obs.trace` — W3C-traceparent request tracing: explicit
   :class:`~repro.obs.trace.TraceContext`/:class:`~repro.obs.trace.Tracer`
@@ -33,9 +33,7 @@ three sibling modules built on the same explicit-object discipline:
   queue → worker-process → cache → engine chain, JSONL + Perfetto
   export, span-tree analysis and a CI validator;
 * :mod:`repro.obs.log` — structured JSON logging with bound
-  correlation fields (every error line carries its ``trace_id``);
-* :mod:`repro.obs.slo` — SLO burn-rate checking over loadgen reports
-  and live ``/metrics`` histograms.
+  correlation fields (every error line carries its ``trace_id``).
 """
 
 from .events import (
@@ -63,10 +61,8 @@ from .metrics import (
     LATENCY_BUCKETS_US,
     MetricsRegistry,
     TickHistogram,
-    histogram_quantile,
     parse_prometheus,
 )
-from .slo import SloSpec, check_report
 from .trace import (
     IdSource,
     JsonlSpanSink,
@@ -84,9 +80,8 @@ __all__ = [
     "Counter", "Event", "EventKind", "Gauge", "IdSource",
     "JsonLogHandler", "JsonLogger", "JsonlSink", "JsonlSpanSink",
     "LATENCY_BUCKETS_US", "MetricsRegistry", "NULL_SINK", "NullSink",
-    "Recorder", "SloSpec", "Span", "SpanRecorder", "TeeSink",
-    "TickHistogram", "TraceContext", "Tracer", "check_report",
-    "chrome_trace", "histogram_quantile", "merge_chrome_traces",
+    "Recorder", "Span", "SpanRecorder", "TeeSink", "TickHistogram",
+    "TraceContext", "Tracer", "chrome_trace", "merge_chrome_traces",
     "metrics_to_jsonl", "parse_prometheus", "read_events_jsonl",
     "run_metrics", "span_trees", "spans_chrome_trace", "stderr_logger",
     "validate_spans", "write_chrome_trace", "write_events_jsonl",

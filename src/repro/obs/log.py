@@ -15,8 +15,7 @@ Two deliberate design constraints:
   nothing and pays one ``is None`` check, which is what keeps the
   serve hot path inside its throughput gates when logging is off;
 * **machine-first** — values are JSON scalars, keys are stable, and
-  the line is self-contained; ``jq`` is the intended reader, humans
-  get the ops dashboard instead.
+  the line is self-contained; ``jq`` is the intended reader.
 
 :class:`JsonLogHandler` bridges stdlib :mod:`logging` records (the
 campaign cache's corrupt-entry warnings, third-party libraries) into

@@ -101,8 +101,7 @@ class TickHistogram:
         Returns ``[(le, count_at_or_below_le), ...]`` over *bounds*
         plus a terminal ``(inf, total)`` bucket — the canonical
         Prometheus histogram shape (every bucket counts everything at
-        or below its boundary, so a scraper can rate() and
-        histogram_quantile() it).
+        or below its boundary).
         """
         values = sorted(self.counts.items())
         out: List[Tuple[float, int]] = []
@@ -201,35 +200,6 @@ def format_le(bound: float) -> str:
     return repr(bound)
 
 
-def histogram_quantile(buckets: Sequence[Tuple[float, int]],
-                       q: float) -> Optional[float]:
-    """Prometheus-style quantile estimate from cumulative buckets.
-
-    Linear interpolation inside the bucket that crosses rank ``q``;
-    the open-ended ``+Inf`` bucket reports its lower boundary (exactly
-    what PromQL's ``histogram_quantile`` does).  ``None`` when empty.
-    """
-    ordered = sorted(buckets)
-    if not ordered:
-        return None
-    total = ordered[-1][1]
-    if total <= 0:
-        return None
-    rank = q * total
-    prev_bound, prev_count = 0.0, 0
-    for bound, count in ordered:
-        if count >= rank:
-            if math.isinf(bound):
-                return prev_bound
-            span = count - prev_count
-            if span <= 0:
-                return bound
-            fraction = (rank - prev_count) / span
-            return prev_bound + (bound - prev_bound) * fraction
-        prev_bound, prev_count = bound, count
-    return prev_bound
-
-
 _PROM_LINE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^}]*)\})?"
@@ -250,10 +220,9 @@ def parse_prometheus(text: str) -> Dict[str, Any]:
 
     Returns ``{"types": {metric: type}, "samples": {metric: value},
     "histograms": {base: {"buckets": [(le, count)], "sum": s,
-    "count": n, "exemplars": {le_label: {...}}}}}``.  This is both the
-    scraper the ops dashboard uses against ``/metrics`` and the
-    parse-back oracle of the exposition tests: if this can't ingest
-    the output, neither can Prometheus.
+    "count": n, "exemplars": {le_label: {...}}}}}``.  It is the
+    parse-back oracle of the ``/metrics`` exposition tests: if this
+    can't ingest the output, neither can Prometheus.
     """
     types: Dict[str, str] = {}
     samples: Dict[str, float] = {}

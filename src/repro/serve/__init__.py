@@ -4,8 +4,9 @@
 
 * :mod:`repro.serve.protocol` — versioned JSON wire format: ``simulate``
   (named workload or inline text-asm/serialised program), ``sweep``
-  (a core × mode grid) and ``verify`` (a seeded fuzz batch), each fully
-  validated before admission so malformed input maps to typed 400s;
+  (a core × mode grid), ``verify`` (a seeded fuzz batch) and
+  ``estimate`` (the analytic predictor), each fully validated before
+  admission so malformed input maps to typed 400s;
 * :mod:`repro.serve.httpd` — a minimal asyncio HTTP/1.1 server with
   keep-alive and connection tracking for graceful drain;
 * :mod:`repro.serve.admission` — bounded priority admission queue with
@@ -19,7 +20,8 @@
 * :mod:`repro.serve.client` — sync and async SDKs with retry/backoff
   and deadlines;
 * :mod:`repro.serve.loadgen` — closed/open-loop load generator that
-  writes ``BENCH_serve.json`` (throughput + p50/p95/p99 latency).
+  writes ``BENCH_serve.json`` (throughput, latency percentiles, status
+  counts) and gates it (zero 5xx, p99, estimate p99 and throughput).
 
 Run ``python -m repro.serve start`` and point curl at
 ``http://127.0.0.1:8787/v1/simulate``.

@@ -139,9 +139,6 @@ class ServeApp:
         #: le-label -> most recent exemplar for serve.latency_us
         #: buckets (only populated when tracing is on)
         self._exemplars: Dict[str, Dict[str, Any]] = {}
-        #: descending (latency_us, trace_id) — the ops dashboard's
-        #: "slowest traces" panel reads this off /v1/status
-        self._slowest: List[Any] = []
         self.started_at = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------
@@ -357,8 +354,7 @@ class ServeApp:
         return response
 
     def _note_latency(self, elapsed_us: int, trace_id: str) -> None:
-        """Pin an exemplar on the latency bucket this request landed
-        in and track it for the slowest-traces panel."""
+        """Pin an exemplar on the latency bucket this request landed in."""
         le = "+Inf"
         for bound in LATENCY_BUCKETS_US:
             if elapsed_us <= bound:
@@ -367,9 +363,6 @@ class ServeApp:
         self._exemplars[le] = {"trace_id": trace_id,
                                "value": elapsed_us,
                                "ts": round(time.time(), 3)}
-        self._slowest.append((elapsed_us, trace_id))
-        self._slowest.sort(reverse=True)
-        del self._slowest[10:]
 
     async def _route(self, request: HttpRequest,
                      root: Optional[ActiveSpan] = None
@@ -528,9 +521,6 @@ class ServeApp:
             "cache_dir": str(self.config.resolved_cache_dir()),
             "lru_entries": len(self._lru),
             "tracing": self.tracer is not None,
-            "slowest_traces": [
-                {"latency_us": lat, "trace_id": tid}
-                for lat, tid in self._slowest],
         }
 
     def _render_metrics(self) -> str:

@@ -15,6 +15,8 @@ Examples::
     # failing (exit 1) on any 5xx or a p99 above 150 ms
     python -m repro.serve loadgen --spawn --mode open --rate 250 \
         --requests 1000 --assert-zero-5xx --max-p99-ms 150
+
+``loadgen``'s exit-1 gates are :func:`repro.serve.loadgen.gate_failures`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from repro.obs.log import stderr_logger, stdlib_logs_to
 
 from .app import ServeConfig, ServeDaemon
 from .client import ServeClient, ServeError
-from .loadgen import DEFAULT_OUTPUT, estimate_mix, run_loadgen, \
-    write_report
+from .loadgen import DEFAULT_OUTPUT, estimate_mix, gate_failures, \
+    run_loadgen, write_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,19 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--trace-dir", type=Path, default=None,
                          help="with --spawn: daemon span export dir "
                               "(implies --trace)")
-
-    ops = sub.add_parser(
-        "ops", help="live terminal dashboard (RPS, percentiles, "
-                    "queue, workers, cache tiers, SLO burn)")
-    ops.add_argument("--host", default="127.0.0.1")
-    ops.add_argument("--port", type=int, default=8787)
-    ops.add_argument("--interval", type=float, default=2.0,
-                     metavar="S", help="refresh period")
-    ops.add_argument("--once", action="store_true",
-                     help="render one frame and exit (CI / scripts)")
-    ops.add_argument("--availability", type=float, default=0.999)
-    ops.add_argument("--latency-ms", type=float, default=250.0)
-    ops.add_argument("--latency-objective", type=float, default=0.99)
     return parser
 
 
@@ -249,43 +238,21 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"daemon drained in {drain_s:.2f}s")
     print(f"wrote {path}")
 
-    failures: List[str] = []
-    counts = payload["status_counts"]
-    if args.assert_zero_5xx and counts.get("5xx", 0):
-        failures.append(f"{counts['5xx']} 5xx responses")
-    if args.assert_zero_5xx and payload["transport_errors"]:
-        failures.append(f"transport errors: "
-                        f"{payload['transport_errors']}")
-    if args.max_p99_ms is not None and (
-            lat["p99"] is None or lat["p99"] > args.max_p99_ms):
-        failures.append(f"p99 {fmt(lat['p99'])}ms exceeds "
-                        f"{args.max_p99_ms}ms")
-    if args.max_estimate_p99_ms is not None:
-        est_p99 = report.kind_percentile_ms("estimate", 0.99)
-        if est_p99 is None:
-            failures.append("no successful estimate requests to gate")
-        elif est_p99 > args.max_estimate_p99_ms:
-            failures.append(f"estimate p99 {fmt(est_p99)}ms exceeds "
-                            f"{args.max_estimate_p99_ms}ms")
-    if args.min_throughput is not None and \
-            payload["throughput_rps"] < args.min_throughput:
-        failures.append(f"throughput {payload['throughput_rps']} "
-                        f"req/s below {args.min_throughput}")
+    failures = gate_failures(
+        report, zero_5xx=args.assert_zero_5xx,
+        max_p99_ms=args.max_p99_ms,
+        max_estimate_p99_ms=args.max_estimate_p99_ms,
+        min_throughput=args.min_throughput)
     if failures:
         print("FAIL: " + "; ".join(failures), file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_ops(args: argparse.Namespace) -> int:
-    from .ops import run_dashboard
-    return run_dashboard(args)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"start": _cmd_start, "status": _cmd_status,
-               "loadgen": _cmd_loadgen, "ops": _cmd_ops}[args.command]
+               "loadgen": _cmd_loadgen}[args.command]
     try:
         return handler(args)
     except KeyboardInterrupt:

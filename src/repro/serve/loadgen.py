@@ -18,12 +18,14 @@ keep the 400 path honest.  Every response is bucketed by status class;
 latency percentiles come from the full reservoir (no sampling), and
 the report is written to ``BENCH_serve.json``.
 
-Report **schema 2** adds what the SLO checker and the ops dashboard
-need: p99.9, an exact latency CDF tabulated at the
-:data:`repro.obs.slo.CDF_THRESHOLDS_MS` thresholds, a per-request-class
-latency breakdown (``simulate``/``sweep``/``verify`` × warm/cold), and
-— with ``trace=True`` — one trace id per request (seed-derived, so the
-id stream is reproducible) plus the slowest traces for drill-down.
+The report (**schema 3**) carries p50 through p99.9, a
+per-request-class latency breakdown (``simulate``/``sweep``/``estimate``
+× warm/cold), and — with ``trace=True`` — one trace id per request
+(seed-derived, so the id stream is reproducible) plus the slowest
+requests for drill-down.  :func:`gate_failures` checks a report
+against the gates that ``loadgen``'s ``--assert-zero-5xx``,
+``--max-p99-ms``, ``--max-estimate-p99-ms`` and ``--min-throughput``
+set.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.slo import CDF_THRESHOLDS_MS
 from repro.obs.trace import IdSource, TraceContext
 
 from .client import AsyncServeClient, ServeError
@@ -195,19 +196,6 @@ class LoadReport:
             return None
         return lats[min(len(lats) - 1, int(p * len(lats)))] / 1000.0
 
-    def latency_cdf_ms(self) -> Dict[str, float]:
-        """Exact fraction of successful requests at or under each
-        tabulated threshold — what makes the SLO latency leg exact."""
-        lats = self._latencies()
-        cdf: Dict[str, float] = {}
-        if not lats:
-            return cdf
-        for threshold in CDF_THRESHOLDS_MS:
-            limit = threshold * 1000.0
-            under = sum(1 for lat in lats if lat <= limit)
-            cdf[f"{threshold:g}"] = round(under / len(lats), 6)
-        return cdf
-
     def class_breakdown(self) -> Dict[str, Dict[str, Any]]:
         by_class: Dict[str, List[int]] = {}
         for sample in self.samples:
@@ -239,7 +227,7 @@ class LoadReport:
             if sample.served:
                 served[sample.served] = served.get(sample.served, 0) + 1
         return {
-            "schema": 2,
+            "schema": 3,
             "mode": self.mode,
             "requests": len(self.samples),
             "concurrency": self.concurrency,
@@ -258,7 +246,6 @@ class LoadReport:
                          if lats else None),
                 "max": (lats[-1] / 1000.0) if lats else None,
             },
-            "latency_cdf_ms": self.latency_cdf_ms(),
             "classes": self.class_breakdown(),
             "slowest": self.slowest(),
         }
@@ -408,3 +395,40 @@ def write_report(report: LoadReport,
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def gate_failures(report: LoadReport, *, zero_5xx: bool = False,
+                  max_p99_ms: Optional[float] = None,
+                  max_estimate_p99_ms: Optional[float] = None,
+                  min_throughput: Optional[float] = None) -> List[str]:
+    """One message per gate *report* fails; empty when it passes all.
+
+    A gate left at its default is not checked.  *zero_5xx* fails on any
+    5xx answer or transport error.  The latency gates read successful
+    requests only, and fail when there is none to read.  The throughput
+    gate compares the report's rounded ``throughput_rps``.
+    """
+    failures: List[str] = []
+    counts = report.status_counts
+    if zero_5xx and counts.get("5xx", 0):
+        failures.append(f"{counts['5xx']} 5xx responses")
+    if zero_5xx and report.errors:
+        failures.append(f"transport errors: {report.errors}")
+    if max_p99_ms is not None:
+        p99 = report.percentile_ms(0.99)
+        if p99 is None:
+            failures.append("no successful requests to gate")
+        elif p99 > max_p99_ms:
+            failures.append(f"p99 {p99:.1f}ms exceeds {max_p99_ms}ms")
+    if max_estimate_p99_ms is not None:
+        est_p99 = report.kind_percentile_ms("estimate", 0.99)
+        if est_p99 is None:
+            failures.append("no successful estimate requests to gate")
+        elif est_p99 > max_estimate_p99_ms:
+            failures.append(f"estimate p99 {est_p99:.1f}ms exceeds "
+                            f"{max_estimate_p99_ms}ms")
+    throughput = round(report.throughput_rps, 1)
+    if min_throughput is not None and throughput < min_throughput:
+        failures.append(f"throughput {throughput} req/s below "
+                        f"{min_throughput}")
+    return failures

@@ -222,7 +222,7 @@ class TestRoundTrip:
         cache = ResultCache(tmp_path / "cache")
         cached_simulate(tiny_trace, config, cache)
         key = result_key(tiny_trace, config)
-        cache.path(key).write_text("not json{")
+        Path(cache.path(key)).write_text("not json{")
         result = cached_simulate(tiny_trace, config, cache)
         assert result.cycles > 0
         assert cache.misses == 2  # corrupt read counted as miss
@@ -245,10 +245,10 @@ class TestCorruptionTolerance:
     def test_garbage_entry_is_counted_and_removed(
             self, tiny_trace, config, tmp_path, garbage):
         cache, key = self._warm(tiny_trace, config, tmp_path)
-        cache.path(key).write_bytes(garbage)
+        Path(cache.path(key)).write_bytes(garbage)
         assert cache.get(key) is None
         assert cache.corrupt == 1
-        assert not cache.path(key).exists()   # unlinked for rewrite
+        assert not Path(cache.path(key)).exists()   # unlinked for rewrite
         # and the next simulate round-trips a fresh entry
         result = cached_simulate(tiny_trace, config, cache)
         assert result.cycles > 0
@@ -257,11 +257,11 @@ class TestCorruptionTolerance:
     def test_schema_mismatch_is_a_plain_miss(self, tiny_trace, config,
                                              tmp_path):
         cache, key = self._warm(tiny_trace, config, tmp_path)
-        cache.path(key).write_text('{"schema": 999}')
+        Path(cache.path(key)).write_text('{"schema": 999}')
         assert cache.get(key) is None
         # an old-but-well-formed entry is not corruption
         assert cache.corrupt == 0
-        assert cache.path(key).exists()
+        assert Path(cache.path(key)).exists()
 
     def test_missing_entry_is_not_corruption(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -272,13 +272,14 @@ class TestCorruptionTolerance:
         cache = ResultCache(tmp_path / "cache")
         tkey = trace_index_key("ml", "pool0", 3)
         cache.put_trace_fingerprint(tkey, trace_fingerprint(tiny_trace))
-        cache.trace_index_path(tkey).write_text("{torn")
+        entry = Path(cache.trace_index_path(tkey))
+        entry.write_text("{torn")
         assert cache.get_trace_fingerprint(tkey) is None
         assert cache.corrupt == 1
-        assert not cache.trace_index_path(tkey).exists()
+        assert not entry.exists()
         # index entry with the wrong shape is also corrupt
-        cache.trace_index_path(tkey).parent.mkdir(exist_ok=True)
-        cache.trace_index_path(tkey).write_text('{"fingerprint": 42}')
+        entry.parent.mkdir(exist_ok=True)
+        entry.write_text('{"fingerprint": 42}')
         assert cache.get_trace_fingerprint(tkey) is None
         assert cache.corrupt == 2
 
@@ -290,7 +291,7 @@ class TestCorruptionTolerance:
         cache = ResultCache(tmp_path / "cache", metrics=metrics)
         cached_simulate(tiny_trace, config, cache)
         key = result_key(tiny_trace, config)
-        cache.path(key).write_text("}{")
+        Path(cache.path(key)).write_text("}{")
         assert cache.get(key) is None
         assert metrics.counter("cache.corrupt_entries").value == 1
 

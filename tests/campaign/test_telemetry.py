@@ -1,10 +1,8 @@
-"""In-process tests for campaign telemetry: spans, workers, profiles."""
-
-import pstats
+"""In-process tests for campaign telemetry: spans, workers, job specs."""
 
 from repro.campaign.cli import parse_jobspec
 from repro.campaign.jobs import CampaignJob
-from repro.campaign.runner import job_slug, run_campaign
+from repro.campaign.runner import run_campaign
 
 import pytest
 
@@ -59,26 +57,6 @@ class TestJobSpans:
         assert payload["telemetry"]["span_totals_s"] == totals
         assert payload["telemetry"]["workers_used"] == \
             sorted({r.worker for r in result.records})
-
-
-class TestProfileHook:
-    def test_profile_dir_gets_one_pstats_per_miss(self, tmp_path):
-        profile_dir = tmp_path / "profiles"
-        result = run_campaign(JOBS, cache_dir=tmp_path / "cache",
-                              profile_dir=profile_dir)
-        for record in result.records:
-            path = profile_dir / f"{job_slug(record.label)}.pstats"
-            assert path.is_file()
-            assert pstats.Stats(str(path)).total_calls > 0
-
-    def test_cache_hits_are_not_profiled(self, tmp_path):
-        cache = tmp_path / "cache"
-        run_campaign(JOBS, cache_dir=cache)
-        profile_dir = tmp_path / "profiles"
-        rerun = run_campaign(JOBS, cache_dir=cache,
-                             profile_dir=profile_dir)
-        assert all(r.cache_hit for r in rerun.records)
-        assert not profile_dir.exists()
 
 
 class TestJobspec:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.serve import ServeConfig, ServeDaemon, run_loadgen
 from repro.serve.loadgen import LoadReport, Sample, default_mix, \
-    write_report
+    gate_failures, write_report
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestReport:
         payload = self._report().to_payload()
         assert payload["status_counts"] == {"2xx": 3, "4xx": 2}
         assert payload["throughput_rps"] == 10.0
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
 
     def test_percentiles_exclude_errors(self):
         # errors (the two slowest samples here) must not pollute the
@@ -74,6 +74,78 @@ class TestReport:
         payload = json.loads(path.read_text())
         assert payload["drain_s"] == 0.05
         assert payload["requests"] == 5
+
+
+def _gated(*samples, wall_time_s=1.0, errors=None):
+    """A report of (kind, status, latency_ms) samples over
+    *wall_time_s*, with *errors* as its transport-error counts."""
+    report = LoadReport(mode="closed", concurrency=1,
+                        errors=errors or {})
+    for kind, status, latency_ms in samples:
+        report.samples.append(Sample(kind=kind, status=status,
+                                     latency_us=int(latency_ms * 1000)))
+    report.wall_time_s = wall_time_s
+    return report
+
+
+#: all four gates on, with bounds these small reports can meet
+ALL_GATES = dict(zero_5xx=True, max_p99_ms=250.0,
+                 max_estimate_p99_ms=5.0, min_throughput=2.0)
+
+
+class TestGates:
+    HEALTHY = (("simulate", 200, 40), ("estimate", 200, 2),
+               ("simulate", 400, 900))
+
+    def test_healthy_report_passes_every_gate(self):
+        # the slow 400 is not a success, so no latency gate reads it
+        assert gate_failures(_gated(*self.HEALTHY), **ALL_GATES) == []
+
+    def test_unset_gates_check_nothing(self):
+        assert gate_failures(_gated(("simulate", 503, 1))) == []
+
+    def test_any_5xx_fails(self):
+        report = _gated(*self.HEALTHY, ("simulate", 503, 1))
+        assert gate_failures(report, **ALL_GATES) == ["1 5xx responses"]
+
+    def test_any_transport_error_fails(self):
+        report = _gated(*self.HEALTHY, errors={"TimeoutError": 2})
+        assert gate_failures(report, **ALL_GATES) == [
+            "transport errors: {'TimeoutError': 2}"]
+
+    def test_p99_over_bound_fails(self):
+        report = _gated(*self.HEALTHY, ("simulate", 200, 250.4))
+        assert gate_failures(report, max_p99_ms=250.0) == [
+            "p99 250.4ms exceeds 250.0ms"]
+        assert gate_failures(report, max_p99_ms=250.4) == []
+
+    def test_no_successful_request_fails_the_p99_gate(self):
+        report = _gated(("simulate", 400, 1))
+        assert gate_failures(report, max_p99_ms=250.0) == [
+            "no successful requests to gate"]
+
+    def test_estimate_p99_over_bound_fails(self):
+        # only estimate samples count: the 40 ms simulate does not
+        report = _gated(*self.HEALTHY, ("estimate", 200, 6))
+        assert gate_failures(report, max_estimate_p99_ms=5.0) == [
+            "estimate p99 6.0ms exceeds 5.0ms"]
+
+    def test_no_estimate_sample_fails_the_estimate_gate(self):
+        report = _gated(("simulate", 200, 1), ("estimate", 400, 1))
+        assert gate_failures(report, max_estimate_p99_ms=5.0) == [
+            "no successful estimate requests to gate"]
+
+    def test_throughput_under_floor_fails(self):
+        # 3 requests in 2 s: 1.5 req/s
+        report = _gated(*self.HEALTHY, wall_time_s=2.0)
+        assert gate_failures(report, min_throughput=2.0) == [
+            "throughput 1.5 req/s below 2.0"]
+        assert gate_failures(report, min_throughput=1.5) == []
+
+    def test_every_failure_is_reported(self):
+        report = _gated(("simulate", 503, 1), wall_time_s=10.0,
+                        errors={"ConnectionError": 1})
+        assert len(gate_failures(report, **ALL_GATES)) == 5
 
 
 class TestAgainstDaemon:
