@@ -112,11 +112,24 @@ def _canonical(value: Any) -> Any:
 
 def config_fingerprint(config: CoreConfig) -> str:
     """Stable digest of a core's semantics: every field, mode included,
-    except ``engine`` — a performance choice, never a semantics one."""
+    except ``engine`` — a performance choice, never a semantics one.
+
+    Memoised on the config object, which is frozen, as
+    :func:`trace_fingerprint` is on its trace; with
+    :meth:`~repro.core.config.CoreConfig.with_mode`'s shared instances
+    each preset and mode is digested once per process.  Never memoise
+    on the config's *value*: ``pvt_scale=1`` and ``pvt_scale=1.0``
+    compare and hash equal but dump, and so digest, differently.
+    """
+    memo = config.__dict__.get("_fingerprint")
+    if memo is not None:
+        return memo
     canonical = _canonical(config)
     del canonical["engine"]
     blob = json.dumps(canonical, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    object.__setattr__(config, "_fingerprint", digest)
+    return digest
 
 
 def _instr_row(instr) -> str:

@@ -34,7 +34,7 @@ controller's ``THRESHOLD_WINDOW`` and the GP phase's
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.memory.hierarchy import MemoryConfig
 from repro.timing.gates import DEFAULT_TECH, TechParams
@@ -125,11 +125,35 @@ class CoreConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
 
     def with_mode(self, mode: RecycleMode) -> "CoreConfig":
-        return replace(self, mode=mode)
+        """This config in *mode*, one shared instance per mode.
+
+        Every config reached through ``with_mode`` shares one
+        mode → instance table with the config it came from, so
+        ``CORES[core].with_mode(mode)`` is the same object on every
+        call and a memo kept on the instance (the campaign cache's
+        :func:`~repro.campaign.cache.config_fingerprint`) is computed
+        once per preset and mode.  The table is keyed by the mode
+        alone: each family shares every other field, value and type.
+        Threads racing here at worst build an equal spare instance.
+        """
+        family = self.__dict__.get("_modes")
+        if family is None:
+            family = {self.mode: self}
+            object.__setattr__(self, "_modes", family)
+        config = family.get(mode)
+        if config is None:
+            config = family[mode] = replace(self, mode=mode)
+            object.__setattr__(config, "_modes", family)
+        return config
 
     def variant(self, **kwargs) -> "CoreConfig":
         """A modified copy (ablation helper)."""
         return replace(self, **kwargs)
+
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the fields alone, never the
+        # per-instance memos (``_modes``, the cache's ``_fingerprint``)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 #: Table I presets.

@@ -42,7 +42,6 @@ from .registers import (
 from .semantics import (
     Memory,
     _apply_shift,
-    _simd_lanewise,
     cond_holds,
     to_signed,
 )
@@ -536,7 +535,8 @@ def _halt(instr: Instruction, pc: int, m: Machine) -> Step:
 # --- SIMD ---------------------------------------------------------------
 
 def _simd(instr: Instruction, pc: int, m: Machine) -> Step:
-    """Lanewise V-ops through ``semantics``' lane helper; VDUP, VMOV."""
+    """Lanewise V-ops, their lane operation chosen at decode; VDUP,
+    VMOV."""
     regs, record, entry = m.regs, m.record, m.entry
     pc1 = pc + 1
     op = instr.op
@@ -562,12 +562,46 @@ def _simd(instr: Instruction, pc: int, m: Machine) -> Step:
         return vmov
 
     mm, acc = _opt(instr.rm), _opt(instr.ra)
+    lanes = _lanewise(op, dtype)
 
     def lanewise() -> int:
-        regs[d] = _simd_lanewise(op, regs[n], regs[mm], regs[acc],
-                                 dtype) & wm
+        regs[d] = lanes(regs[n], regs[mm], regs[acc]) & wm
         record(entry(instr, pc, pc1, False, WORD_BITS, None, 0, False))
         return pc1
+    return lanewise
+
+
+def _lanewise(op: Opcode, dtype: SimdType) -> Callable[[int, int, int], int]:
+    """``semantics._simd_lanewise(op, a, b, acc, dtype)`` with its lane
+    operation chosen once, here, instead of on every lane of every run."""
+    width = dtype.value
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    # on a masked lane, x - ((x & half) << 1) is to_signed(x, width)
+    lane = {
+        Opcode.VADD: lambda x, y, z: (x + y) & mask,
+        Opcode.VSUB: lambda x, y, z: (x - y) & mask,
+        Opcode.VMUL: lambda x, y, z: (x * y) & mask,
+        Opcode.VMLA: lambda x, y, z: (z + x * y) & mask,
+        Opcode.VMAX: lambda x, y, z: max(x - ((x & half) << 1),
+                                         y - ((y & half) << 1)) & mask,
+        Opcode.VMIN: lambda x, y, z: min(x - ((x & half) << 1),
+                                         y - ((y & half) << 1)) & mask,
+        Opcode.VAND: lambda x, y, z: x & y,
+        Opcode.VORR: lambda x, y, z: x | y,
+        Opcode.VEOR: lambda x, y, z: x ^ y,
+        Opcode.VSHL: lambda x, y, z: (x << (y % width)) & mask,
+        Opcode.VSHR: lambda x, y, z: ((x - ((x & half) << 1))
+                                      >> (y % width)) & mask,
+    }[op]
+    shifts = range(0, 128, width)     # the 128 // width lane offsets
+
+    def lanewise(a: int, b: int, acc: int) -> int:
+        value = 0
+        for s in shifts:
+            value |= lane((a >> s) & mask, (b >> s) & mask,
+                          (acc >> s) & mask) << s
+        return value
     return lanewise
 
 

@@ -63,18 +63,25 @@ from .metrics import (
     TickHistogram,
     parse_prometheus,
 )
-from .trace import (
-    IdSource,
-    JsonlSpanSink,
-    Span,
-    SpanRecorder,
-    TraceContext,
-    Tracer,
-    merge_chrome_traces,
-    span_trees,
-    spans_chrome_trace,
-    validate_spans,
-)
+
+#: names re-exported from :mod:`repro.obs.trace`, imported on first
+#: use (PEP 562): importing ``repro`` loads this package, and an eager
+#: import would put ``repro.obs.trace`` in ``sys.modules`` before
+#: ``python -m repro.obs.trace`` runs it, so ``runpy`` would warn and
+#: run the CLI beside a second copy of the module
+_TRACE_NAMES = frozenset({
+    "IdSource", "JsonlSpanSink", "Span", "SpanRecorder", "TraceContext",
+    "Tracer", "merge_chrome_traces", "span_trees", "spans_chrome_trace",
+    "validate_spans",
+})
+
+
+def __getattr__(name: str):
+    if name in _TRACE_NAMES:
+        from . import trace
+        return getattr(trace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Counter", "Event", "EventKind", "Gauge", "IdSource",

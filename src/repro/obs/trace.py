@@ -577,8 +577,11 @@ def main(argv: Optional[List[str]] = None) -> int:
              "time (the end-to-end tracing gate)")
     coverage.add_argument("path", type=Path)
     coverage.add_argument("--min-coverage", type=float, default=0.95,
-                          help="fail (exit 1) when p50 or p99 segment "
-                               "coverage falls below this fraction")
+                          help="fail (exit 1) when the median request's "
+                               "segment coverage falls below this "
+                               "fraction, or the worst request's below "
+                               "0.8 of it (the p99 is printed, not "
+                               "gated)")
 
     tree = sub.add_parser("tree",
                           help="print one trace's span tree")
@@ -616,13 +619,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not report["scored"]:
             print("no scoreable request trees", file=sys.stderr)
             return 1
-        p50, p99 = report["coverage_p50"], report["coverage_p99"]
-        # scored list is sorted ascending, so p50/p99 here are the
-        # *worst-half* markers: gate on both ends of the distribution
-        worst = report["coverage_min"]
-        if p50 < args.min_coverage or worst < args.min_coverage * 0.8:
-            print(f"FAIL: coverage p50={p50} min={worst} below "
-                  f"{args.min_coverage}", file=sys.stderr)
+        # the median and the minimum are gated; the p99 is only reported
+        p50, worst = report["coverage_p50"], report["coverage_min"]
+        floor = args.min_coverage * 0.8
+        if p50 < args.min_coverage or worst < floor:
+            print(f"FAIL: coverage p50={p50} (bound {args.min_coverage}) "
+                  f"min={worst} (bound {round(floor, 4)})",
+                  file=sys.stderr)
             return 1
         return 0
 

@@ -40,7 +40,6 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -171,7 +170,10 @@ def _execute_simulate(payload: Dict[str, Any], cache: ResultCache, *,
     record = _execute_job(job, cache, force=False, probe_only=probe_only)
     if record is None:
         return None
-    result = asdict(record)
+    # a plain dataclass's __dict__ holds its fields in declaration
+    # order: the same JSON as ``asdict``, without its deep copy of a
+    # record that dies here
+    result = dict(vars(record))
     result["workload"] = f"{payload['suite']}/{payload['bench']}"
     return result
 

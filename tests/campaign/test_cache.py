@@ -1,5 +1,7 @@
 """Cache keys: stability, invalidation, result round-trips."""
 
+import json
+import pickle
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -350,3 +352,93 @@ class TestEngineInvalidation:
         fresh = simulate(tiny_trace, replace(config, engine="compiled"))
         assert asdict(compiled.stats) == asdict(reference.stats) \
             == asdict(fresh.stats)
+
+
+#: every (preset, mode) config the campaign grid and serve build
+PRESET_MODES = [(core, mode) for core in CORES for mode in RecycleMode]
+
+
+def _variant(name):
+    return replace(CORES["small"], **{name: FIELD_VARIANTS[name]})
+
+
+class TestConfigMemos:
+    """``config_fingerprint`` is memoised per config object and
+    ``with_mode`` shares one object per (config, mode): neither may
+    ever be keyed on a config's value."""
+
+    @pytest.mark.parametrize("core,mode", PRESET_MODES,
+                             ids=[f"{c}-{m.value}" for c, m in PRESET_MODES])
+    def test_preset_memo_matches_fresh_digest(self, core, mode):
+        config = CORES[core].with_mode(mode)
+        memo = config_fingerprint(config)
+        # ``replace`` builds a new object, which carries no memo
+        assert memo == config_fingerprint(replace(config))
+        assert config_fingerprint(config) is memo
+
+    @pytest.mark.parametrize("name", sorted(FIELD_VARIANTS))
+    def test_variant_memo_matches_fresh_digest(self, name):
+        for config in (_variant(name),
+                       _variant(name).with_mode(RecycleMode.MOS)):
+            memo = config_fingerprint(config)
+            assert memo == config_fingerprint(replace(config))
+            assert config_fingerprint(config) is memo
+
+    @pytest.mark.parametrize("first,second", [(1, 1.0), (1.0, 1)],
+                             ids=["int-first", "float-first"])
+    def test_equal_configs_keep_their_own_digests(self, first, second):
+        # equal and hash-equal, yet they dump differently: a memo keyed
+        # on the value would hand the second one the first one's key
+        a, b = CoreConfig(pvt_scale=first), CoreConfig(pvt_scale=second)
+        assert a == b and hash(a) == hash(b)
+        assert config_fingerprint(a) != config_fingerprint(b)
+        assert config_fingerprint(a.with_mode(RecycleMode.MOS)) != \
+            config_fingerprint(b.with_mode(RecycleMode.MOS))
+
+    @pytest.mark.parametrize("config", [
+        *CORES.values(), _variant("pvt_scale"), _variant("memory"),
+        CoreConfig(pvt_scale=1)],
+        ids=[*CORES, "pvt_scale", "memory", "int-pvt_scale"])
+    def test_with_mode_shares_one_object_per_mode(self, config):
+        for mode in RecycleMode:
+            shared = config.with_mode(mode)
+            assert shared == replace(config, mode=mode)
+            assert shared is config.with_mode(mode)
+            assert type(shared.pvt_scale) is type(config.pvt_scale)
+            for other in RecycleMode:
+                assert shared.with_mode(other) is config.with_mode(other)
+
+    def test_memos_stay_out_of_value_semantics(self):
+        config = CORES["big"].with_mode(RecycleMode.MOS)
+        fresh = replace(config)
+        config_fingerprint(config)
+        assert config == fresh and hash(config) == hash(fresh)
+        assert repr(config) == repr(fresh)
+        assert asdict(config) == asdict(fresh)
+        restored = pickle.loads(pickle.dumps(config))
+        assert restored == config
+        assert set(vars(restored)) == {f.name for f in fields(config)}
+
+    def test_warm_simulate_answer_equals_asdict(self, tmp_path,
+                                                monkeypatch):
+        import repro.campaign.runner as runner
+        from repro.campaign.jobs import CampaignJob
+        from repro.serve.workers import cached_answer
+
+        payload = {"suite": "ml", "bench": "pool0", "scale": 3,
+                   "core": "small", "mode": "redsoc"}
+        cache = ResultCache(tmp_path / "cache")
+        runner._execute_job(CampaignJob("ml", "pool0", "small", "redsoc",
+                                        scale=3), cache, force=False)
+        records = []
+        execute_job = runner._execute_job
+
+        def capture(*args, **kwargs):
+            records.append(execute_job(*args, **kwargs))
+            return records[-1]
+        monkeypatch.setattr(runner, "_execute_job", capture)
+        answer = cached_answer("simulate", dict(payload), cache)
+        assert answer["cache_hit"] is True
+        expected = {**asdict(records[0]), "workload": "ml/pool0"}
+        assert answer == expected
+        assert json.dumps(answer) == json.dumps(expected)

@@ -1,9 +1,14 @@
 """Trace contexts, spans, trees, coverage, export, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.trace import (
     IdSource,
     Span,
@@ -375,6 +380,55 @@ class TestCli:
                            "--min-coverage", "0.9"]) == 0
         assert trace_main(["coverage", str(path),
                            "--min-coverage", "0.999"]) == 1
+
+    def _requests(self, coverages):
+        """One request tree per coverage: a 100 µs root whose one
+        child covers that fraction of it."""
+        spans = []
+        for i, coverage in enumerate(coverages):
+            trace = f"{i + 1:032x}"
+            spans += [
+                Span("request", trace, "11" * 8, start_us=0, end_us=100,
+                     component="serve"),
+                Span("worker.attempt", trace, "22" * 8,
+                     parent_id="11" * 8, start_us=0,
+                     end_us=round(coverage * 100)),
+            ]
+        return spans
+
+    def _coverage(self, tmp_path, coverages, bound="0.9"):
+        path = self._write(tmp_path, self._requests(coverages))
+        return trace_main(["coverage", str(path),
+                           "--min-coverage", bound])
+
+    def test_coverage_passes_with_worst_request_above_floor(
+            self, tmp_path):
+        # the worst request, 0.75, is below 0.9 but above 0.8 * 0.9
+        assert self._coverage(tmp_path, [0.75, 0.95, 0.98]) == 0
+
+    def test_coverage_fails_on_median_below_bound(self, tmp_path, capsys):
+        # the minimum, 0.85, clears 0.8 * 0.9; the median does not
+        assert self._coverage(tmp_path, [0.85, 0.85, 0.99]) == 1
+        assert "FAIL: coverage p50=0.85 (bound 0.9)" in \
+            capsys.readouterr().err
+
+    def test_coverage_fails_on_minimum_below_floor(self, tmp_path, capsys):
+        # the median, 0.98, clears 0.9; the worst request is below 0.72
+        assert self._coverage(tmp_path, [0.5, 0.98, 0.98]) == 1
+        assert "min=0.5 (bound 0.72)" in capsys.readouterr().err
+
+    def test_cli_module_runs_without_runpy_warning(self, tmp_path):
+        path = self._write(tmp_path, self._good_spans())
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.obs.trace", "validate", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "2 spans, 0 problem(s)" in proc.stdout
 
     def test_tree_prints_by_prefix(self, tmp_path, capsys):
         path = self._write(tmp_path, self._good_spans())
