@@ -3,8 +3,8 @@
 
 Shows the configuration surface a microarchitect would sweep: structure
 sizes, the slack threshold (static vs the dynamic controller), the
-Illustrative vs Operational RSE, and skewed selection — all on one
-workload (MiBench bitcount).
+Illustrative vs Operational RSE, and MOS fusion — all on one workload
+(MiBench bitcount).
 
 Run:  python examples/custom_core.py
 """
@@ -33,7 +33,6 @@ def main():
                                             slack_threshold=3),
         "Illustrative RSE": core.variant(
             scheduler=SchedulerDesign.ILLUSTRATIVE),
-        "plain (unskewed) select": core.variant(skewed_select=False),
         "MOS fusion": core.with_mode(RecycleMode.MOS),
     }
 

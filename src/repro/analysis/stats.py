@@ -58,8 +58,6 @@ class SimStats:
     two_cycle_holds: int = 0
     fu_stall_cycles: int = 0
     dispatch_stall_cycles: int = 0
-    gp_mispeculations: int = 0     # only possible with unskewed selection
-    wasted_gp_grants: int = 0
 
     # replays
     la_replays: int = 0            # last-arrival mispredict reissues

@@ -286,7 +286,6 @@ class CompiledSimulator:
         IS_MOS = config.mode is RecycleMode.MOS
         DO_GP = (config.mode is not RecycleMode.BASELINE
                  and config.eager_issue)
-        SKEWED = config.skewed_select
         SPARE = EAGER_SPARE_UNITS
         ADAPTIVE = (config.adaptive_threshold
                     and config.mode is RecycleMode.REDSOC)
@@ -398,8 +397,6 @@ class CompiledSimulator:
         st_holds = 0
         st_la_replays = 0
         st_width_replays = 0
-        st_gp_mispec = 0
-        st_wasted_gp = 0
         st_mem_hl = 0                 # memory ops that missed L1
 
         # ---------------------------------------------------------------
@@ -732,7 +729,7 @@ class CompiledSimulator:
             return candidates
 
         def schedule(cycle):
-            nonlocal st_fu_stall, st_gp_mispec, st_wasted_gp
+            nonlocal st_fu_stall
             issued_now = []
             stalled = False
             for cnt, busy, q in lanes:
@@ -759,17 +756,7 @@ class CompiledSimulator:
                     if (cnt - busy.get(cycle + 1, 0) <= SPARE
                             or cnt - busy.get(cycle + 2, 0) <= SPARE):
                         continue
-                    if SKEWED:
-                        try_issue(child, cycle, True)
-                    else:
-                        q = queues[idx]
-                        while q and not in_ready[q[0]]:
-                            heappop(q)
-                        older_pending = q and q[0] < child
-                        r = try_issue(child, cycle, True)
-                        if r == 0 and older_pending:
-                            st_gp_mispec += 1
-                            st_wasted_gp += 1
+                    try_issue(child, cycle, True)
             if stalled:
                 st_fu_stall += 1
 
@@ -1048,8 +1035,6 @@ class CompiledSimulator:
         stats.two_cycle_holds = st_holds
         stats.fu_stall_cycles = st_fu_stall
         stats.dispatch_stall_cycles = st_dispatch_stall
-        stats.gp_mispeculations = st_gp_mispec
-        stats.wasted_gp_grants = st_wasted_gp
         stats.la_replays = st_la_replays
         stats.width_replays = st_width_replays
         # every entry commits exactly once: the Fig. 10 distribution is

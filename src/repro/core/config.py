@@ -17,9 +17,10 @@ FP          2      3      4
 all at 2 GHz with 64 kB L1 / 2 MB L2 and prefetching.
 
 ``CoreConfig`` also carries every ReDSOC/ablation switch: recycling
-on/off, Illustrative vs Operational RSE, skewed vs plain selection, the
-slack threshold, CI precision, and MOS fusion mode (the Sec. VI-D
-comparator).
+on/off, Illustrative vs Operational RSE, the slack threshold, CI
+precision, and MOS fusion mode (the Sec. VI-D comparator).  Select
+arbitration has no switch: both engines grant parent-woken requests
+before grandparent-woken ones (Sec. IV-D), by construction.
 
 Timing parameters that no evaluation varies are module constants of
 the modelled machine, not per-run inputs: the fixed latencies of the
@@ -101,7 +102,6 @@ class CoreConfig:
     #: loop (the oracle, and the only path with observability probes:
     #: observed runs use it whatever this says)
     engine: str = "compiled"
-    skewed_select: bool = True
     #: run the Eager-Grandparent (GP) select phase at all; False keeps
     #: transparent execution but never co-issues children with their
     #: parents — the "EGPW off" ablation the verification layer's

@@ -8,9 +8,11 @@ Per simulated cycle it performs, in order:
    the cache hierarchy here);
 2. **schedule** — wakeup/select: a conventional oldest-first pass per FU
    class (phase P), then the Eager-Grandparent pass (phase GP) that
-   issues children *in the same cycle as their parents* to recycle slack
-   (skewed selection: GP grants only consume units left over by
-   conventional requests — Sec. IV-D);
+   issues children *in the same cycle as their parents* to recycle slack.
+   GP candidates come only from parents the P pass just granted, and
+   take only the units it left, so parent-woken requests always win
+   over grandparent-woken ones: the skewed selection of Sec. IV-D is
+   the loop's order, not a switch;
 3. **dispatch** — rename (RAT), ROB/RS/LSQ allocation, slack-LUT read and
    width prediction (decode-side work is folded in here);
 4. **fetch** — trace-ordered fetch with gshare prediction; mispredicted
@@ -18,9 +20,8 @@ Per simulated cycle it performs, in order:
    penalty.
 
 The same engine runs all three modes (BASELINE / REDSOC / MOS) and all
-ablations (illustrative vs operational RSE, skewed vs plain selection,
-slack threshold, CI precision), so comparisons differ *only* in the
-mechanism under test.
+ablations (illustrative vs operational RSE, slack threshold, CI
+precision), so comparisons differ *only* in the mechanism under test.
 """
 
 from __future__ import annotations
@@ -627,37 +628,23 @@ class CoreSimulator:
     def _gp_phase(self, cycle: int, issued_now: List[Uop]) -> None:
         """Eager-grandparent grants, after conventional selection.
 
-        Skewed selection (the default) gives GP grants only leftover FU
-        capacity.  The spare-units guard keeps speculative issues (and
-        their possible 2-cycle holds) from starving next cycle's
-        conventional requests when the machine is throughput-bound —
-        the simple dynamic mechanism Sec. IV-C sketches around the
-        slack threshold.
-
-        Plain selection (the ablation) lets GP requests compete with
-        conventional ones by age.  It models the paper's two failure
-        cases, a wasted grant (no slack to recycle) and GP-mispeculation
-        (child granted without its parent), by charging a mispeculation
-        whenever a still-pending conventional request of the child's
-        class is older than the granted child.
+        GP grants take only the units the P phase left.  The spare-units
+        guard keeps speculative issues (and their possible 2-cycle
+        holds) from starving next cycle's conventional requests when
+        the machine is throughput-bound — the simple dynamic mechanism
+        Sec. IV-C sketches around the slack threshold.
         """
-        skewed = self.config.skewed_select
         for child in self._gp_candidates(cycle, issued_now):
             pool = self._pool_by_idx[child.cls_idx]
             if (pool.free_at(cycle + 1) <= EAGER_SPARE_UNITS
                     or pool.free_at(cycle + 2) <= EAGER_SPARE_UNITS):
                 continue
-            oldest = None if skewed else self.ready.oldest(child.fu_class)
-            older_pending = oldest is not None and oldest.seq < child.seq
             if self._try_issue(child, cycle, eager=True) != "issued":
                 continue
             if self.obs is not None:
                 self.obs.emit(Event(
                     EventKind.SELECT, cycle, child.seq,
                     {"phase": "GP", "fu": child.fu_class.value}))
-            if older_pending:
-                self.stats.gp_mispeculations += 1
-                self.stats.wasted_gp_grants += 1
 
     # ------------------------------------------------------------------
     # dispatch (decode + rename + allocate)

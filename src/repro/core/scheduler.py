@@ -20,9 +20,10 @@ drives each cycle:
   the single-cycle fit condition.  The simulator collects the
   candidates (``CoreSimulator._gp_candidates``).
 
-Selection itself (oldest-first, skewed or plain) is the select stage
-of each engine (``CoreSimulator._schedule`` and ``_gp_phase``);
-:mod:`repro.core.select` models the Fig. 9 arbiter circuit on its own.
+Selection itself (oldest-first P grants, then GP grants on the units
+left) is the select stage of each engine (``CoreSimulator._schedule``
+and ``_gp_phase``); :mod:`repro.core.select` models the Fig. 9 arbiter
+circuit on its own.
 """
 
 from __future__ import annotations
@@ -126,14 +127,6 @@ class ReadyQueues:
 
     def remove(self, uop: Uop) -> None:
         uop.in_ready = False
-
-    def oldest(self, op_class: OpClass) -> Optional[Uop]:
-        """The oldest live request of *op_class* (stale heads pop), or
-        ``None`` when the lane holds none."""
-        lane = self.lanes[OPCLASS_INDEX[op_class]]
-        while lane and not lane[0][1].in_ready:
-            heappop(lane)
-        return lane[0][1] if lane else None
 
     def pending(self, op_class: OpClass) -> List[Uop]:
         """Live pending requests of *op_class*, oldest first."""

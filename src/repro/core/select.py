@@ -15,18 +15,18 @@ GP-mispeculation (Sec. IV-D).
 
 Implemented both ways: a bit-level model mirroring the paper's circuit
 and the equivalent sort-based behavioural model; the tests check that
-the two grant alike.  This module is a model of the circuit only: the
-engines' select stages (``CoreSimulator._schedule`` / ``_gp_phase``
-and the compiled replay's ``schedule``) grant inline, P requests
-oldest-first per FU class before GP requests, and call nothing here.
+the two grant alike, skewed and plain.  This module is a model of the
+circuit only, and the Sec. IV-D bench compares the two policies on it.
+The engines' select stages (``CoreSimulator._schedule`` / ``_gp_phase``
+and the compiled replay's ``schedule``) grant inline and call nothing
+here: they form GP requests only from parents granted this cycle, after
+the oldest-first P pass, so their order is always the skewed one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-
-from repro.obs.events import Event, EventKind
 
 
 @dataclass(frozen=True)
@@ -109,32 +109,23 @@ class AgeMaskTable:
 
 
 def select_requests(requests: Sequence[SelectRequest], slots: int, *,
-                    skewed: bool, obs=None,
-                    cycle: int = -1) -> List[SelectRequest]:
+                    skewed: bool) -> List[SelectRequest]:
     """Grant up to *slots* requests (the fast behavioural equivalent).
 
     Skewed order: all non-speculative requests age-ordered, then
     speculative ones age-ordered.  Plain order: pure age.  Matches the
-    bit-level circuit grant-for-grant (see tests).  With an event sink
-    attached, each grant is published as a SELECT event.
+    bit-level circuit grant-for-grant (see tests).
     """
     if skewed:
         ranked = sorted(requests, key=lambda q: (q.speculative, q.age))
     else:
         ranked = sorted(requests, key=lambda q: q.age)
-    granted = list(ranked[:slots])
-    if obs is not None:
-        for request in granted:
-            obs.emit(Event(EventKind.SELECT, cycle, -1, {
-                "entry": request.entry, "age": request.age,
-                "phase": "GP" if request.speculative else "P",
-            }))
-    return granted
+    return ranked[:slots]
 
 
 def multi_grant_bitlevel(table: AgeMaskTable, wakeup: int, p_array: int,
                          slots: int, *, skewed: bool) -> List[int]:
-    """Iterated single-grant circuit → up to *slots* winners (for tests)."""
+    """Iterated single-grant circuit → up to *slots* winners."""
     granted: List[int] = []
     remaining = wakeup
     for _ in range(slots):

@@ -60,8 +60,6 @@ COUNTER_FIELDS: Dict[str, str] = {
     "sched.two_cycle_holds": "two_cycle_holds",
     "sched.fu_stall_cycles": "fu_stall_cycles",
     "sched.dispatch_stall_cycles": "dispatch_stall_cycles",
-    "sched.gp_mispeculations": "gp_mispeculations",
-    "sched.wasted_gp_grants": "wasted_gp_grants",
     "replay.la": "la_replays",
     "replay.width": "width_replays",
 }

@@ -4,8 +4,9 @@ Differential arch-state checks can't judge *timing*; for that we lean on
 relations that must hold between runs of the *same trace* under related
 configs.  The tolerance is the bound the integration suite has always
 documented (``tests/integration/test_random_programs.py``): scheduling
-heuristics (skewed select, adaptive thresholds) may cost a few cycles on
-adversarial programs, so "never slower" is asserted as
+heuristics (eager grants and their 2-cycle holds, adaptive thresholds)
+may cost a few cycles on adversarial programs, so "never slower" is
+asserted as
 
     ``cycles_a <= cycles_b * CYCLE_TOLERANCE + CYCLE_SLOP``
 

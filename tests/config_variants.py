@@ -26,7 +26,6 @@ FIELD_VARIANTS = {
     "complex_units": 3,
     "mode": RecycleMode.BASELINE,
     "scheduler": SchedulerDesign.ILLUSTRATIVE,
-    "skewed_select": False,
     "eager_issue": False,
     "slack_threshold": 2,
     "adaptive_threshold": False,

@@ -16,7 +16,7 @@ from repro.core.ticks import DEFAULT_TICK_BASE as BASE
 from repro.isa import Instruction, Opcode, r
 from repro.isa.opcodes import OpClass
 from repro.pipeline.trace import TraceEntry
-from repro.pipeline.uop import Uop, UopState
+from repro.pipeline.uop import OPCLASS_INDEX, Uop, UopState
 
 
 def make_uop(seq=0, op=Opcode.ADD, transparent=True):
@@ -30,13 +30,16 @@ def make_uop(seq=0, op=Opcode.ADD, transparent=True):
 
 
 def drain(queues, op_class=OpClass.ALU):
-    """Issue every live request of one lane the way the select stage
-    does: the oldest live head issues (its flag clears) and pops."""
+    """Issue every live request of one lane the way
+    ``CoreSimulator._schedule`` does: a stale head pops, and a live head
+    issues (its flag clears) and pops."""
+    lane = queues.lanes[OPCLASS_INDEX[op_class]]
     issued = []
-    while (uop := queues.oldest(op_class)) is not None:
-        queues.remove(uop)
-        heappop(queues.lanes[uop.cls_idx])
-        issued.append(uop)
+    while lane:
+        uop = heappop(lane)[1]
+        if uop.in_ready:
+            queues.remove(uop)
+            issued.append(uop)
     return issued
 
 
@@ -169,26 +172,11 @@ class TestReadyQueues:
         for seq, cycle in ((9, 1), (2, 2), (5, 1), (7, 3)):
             queues.schedule_wake(make_uop(seq), cycle)
         queues.advance_to(2)
-        first = queues.oldest(OpClass.ALU)
+        first = queues.pending(OpClass.ALU)[0]
         queues.remove(first)
         heappop(queues.lanes[first.cls_idx])
         queues.advance_to(3)
         assert [first.seq] + [u.seq for u in drain(queues)] == [2, 5, 7, 9]
-
-    def test_oldest_skips_stale_heads(self):
-        queues = ReadyQueues()
-        assert queues.oldest(OpClass.ALU) is None
-        a, b = make_uop(1), make_uop(2)
-        queues.schedule_wake(a, 1)
-        queues.schedule_wake(b, 1)
-        queues.advance_to(1)
-        assert queues.oldest(OpClass.ALU) is a
-        queues.remove(a)
-        assert queues.oldest(OpClass.ALU) is b
-        assert queues.lanes[b.cls_idx] == [(2, b)]    # the stale head popped
-        queues.remove(b)
-        assert queues.oldest(OpClass.ALU) is None
-        assert queues.oldest(OpClass.SIMD) is None
 
 
 class TestEagerIssueAllowed:

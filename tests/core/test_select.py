@@ -113,52 +113,70 @@ class TestMultiGrant:
                                         skewed=True)) == 1
 
 
+@st.composite
+def windows(draw):
+    """One request window: per entry (woken, non-speculative) flags, and
+    the allocation order that sets the entries' ages."""
+    entry_bits = draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                               min_size=1, max_size=8))
+    order = draw(st.permutations(range(len(entry_bits))))
+    return entry_bits, order
+
+
+SLOTS = st.integers(min_value=1, max_value=8)
+
+
+def build_window(entry_bits, order):
+    """The circuit's (table, wakeup, p_array) and the behavioural model's
+    requests for one window."""
+    table = make_table(len(entry_bits), order)
+    wakeup = 0
+    p_array = 0
+    requests = []
+    for age, i in enumerate(order):
+        woken, is_p = entry_bits[i]
+        if woken:
+            wakeup |= 1 << i
+            if is_p:
+                p_array |= 1 << i
+            requests.append(SelectRequest(entry=i, age=age,
+                                          speculative=not is_p))
+    return table, wakeup, p_array, requests
+
+
+def grants(entry_bits, order, slots, skewed):
+    """(circuit grants, behavioural grants) as entry lists."""
+    table, wakeup, p_array, requests = build_window(entry_bits, order)
+    circuit = multi_grant_bitlevel(table, wakeup, p_array, slots,
+                                   skewed=skewed)
+    fast = [q.entry for q in select_requests(requests, slots,
+                                             skewed=skewed)]
+    return circuit, fast
+
+
 class TestBehaviouralEquivalence:
-    @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1,
-                    max_size=8),
-           st.integers(min_value=1, max_value=8))
+    @given(windows(), SLOTS)
     @settings(max_examples=200)
-    def test_fast_path_matches_circuit(self, entry_bits, slots):
+    def test_fast_path_matches_circuit(self, window, slots):
         """select_requests == the bit-level effective-mask circuit."""
-        n = len(entry_bits)
-        table = make_table(n)
-        wakeup = 0
-        p_array = 0
-        requests = []
-        for i, (woken, is_p) in enumerate(entry_bits):
-            if woken:
-                wakeup |= 1 << i
-                if is_p:
-                    p_array |= 1 << i
-                requests.append(SelectRequest(entry=i, age=i,
-                                              speculative=not is_p))
-        circuit = multi_grant_bitlevel(table, wakeup, p_array, slots,
-                                       skewed=True)
-        fast = [q.entry for q in select_requests(requests, slots,
-                                                 skewed=True)]
+        circuit, fast = grants(*window, slots, skewed=True)
         assert circuit == fast
 
-    @given(st.lists(st.booleans(), min_size=1, max_size=8),
-           st.integers(min_value=1, max_value=8))
+    @given(windows(), SLOTS)
     @settings(max_examples=100)
-    def test_unskewed_equivalence(self, woken_bits, slots):
-        n = len(woken_bits)
-        table = make_table(n)
-        wakeup = sum(1 << i for i, w in enumerate(woken_bits) if w)
-        requests = [SelectRequest(entry=i, age=i, speculative=False)
-                    for i, w in enumerate(woken_bits) if w]
-        circuit = multi_grant_bitlevel(table, wakeup, wakeup, slots,
-                                       skewed=False)
-        fast = [q.entry for q in select_requests(requests, slots,
-                                                 skewed=False)]
+    def test_unskewed_equivalence(self, window, slots):
+        """Plain (pure-age) select: the circuit ignores the P flags, and
+        so does the behavioural model."""
+        circuit, fast = grants(*window, slots, skewed=False)
         assert circuit == fast
 
-    def test_skew_invariant_no_p_starves(self):
-        """No conventional request loses a slot to a speculative one."""
-        requests = [
-            SelectRequest(entry=0, age=0, speculative=True),
-            SelectRequest(entry=1, age=1, speculative=True),
-            SelectRequest(entry=2, age=2, speculative=False),
-        ]
-        granted = select_requests(requests, 1, skewed=True)
-        assert granted[0].entry == 2
+    @given(windows(), SLOTS)
+    @settings(max_examples=200)
+    def test_skew_invariant_no_p_starves(self, window, slots):
+        """Skewed select never grants a GP request over a pending P
+        request: while any P request is denied, every grant is a P."""
+        *_, requests = build_window(*window)
+        p_entries = {q.entry for q in requests if not q.speculative}
+        for granted in grants(*window, slots, skewed=True):
+            if not p_entries <= set(granted):
+                assert set(granted) <= p_entries

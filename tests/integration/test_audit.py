@@ -47,12 +47,6 @@ def test_audit_illustrative_design(traces):
     assert audit.ok, [str(v) for v in audit.violations][:5]
 
 
-def test_audit_unskewed_ablation(traces):
-    cfg = CORES["medium"].variant(skewed_select=False)
-    audit = audit_run(traces["bitcnt"], cfg)
-    assert audit.ok, [str(v) for v in audit.violations][:5]
-
-
 def test_audit_coarse_precision(traces):
     cfg = CORES["medium"].variant(ticks_per_cycle=4, slack_threshold=3)
     audit = audit_run(traces["crc"], cfg)

@@ -179,13 +179,6 @@ class TestThresholdAndAblation:
             scheduler=SchedulerDesign.ILLUSTRATIVE))
         assert abs(op.cycles - il.cycles) / il.cycles < 0.05
 
-    def test_unskewed_selection_not_faster(self):
-        program = loop_program("logic", logic_chain, iters=300)
-        skewed = simulate(program, SMALL)
-        unskewed = simulate(program, SMALL.variant(skewed_select=False))
-
-        assert unskewed.cycles >= skewed.cycles * 0.98
-
 
 class TestMemoryAndBranches:
     def test_load_store_program(self):
